@@ -1,10 +1,10 @@
 //! # pva-bench — data generation for every table and figure
 //!
-//! Each table/figure of the paper's evaluation has one data-generation
-//! function here, shared by a regeneration binary (`src/bin/…`, prints
-//! the series) and a criterion bench (`benches/figures.rs`, measures the
-//! simulation itself). See `EXPERIMENTS.md` for the paper-vs-measured
-//! record.
+//! The scenario registry ([`scenarios`]) and the engine that runs it
+//! ([`engine`]) regenerate every table and figure of the paper's
+//! evaluation through the `pva-bench` CLI. The functions at the crate
+//! root compute the same series directly for library callers. See
+//! `EXPERIMENTS.md` for the paper-vs-measured record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

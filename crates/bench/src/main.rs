@@ -3,22 +3,15 @@
 //! ```text
 //! pva-bench list
 //! pva-bench <scenario> [--jobs N] [--json DIR] [--out DIR] [--verify DIR]
-//!                      [--device PRESET] [EXEC FLAGS]
+//!                      [EXEC FLAGS]
 //! pva-bench all [--smoke] [--jobs N] [--json DIR] [--out DIR] [--verify DIR]
-//!               [--min-speedup X] [--device PRESET] [EXEC FLAGS]
+//!               [--min-speedup X] [EXEC FLAGS]
 //! pva-bench validate FILE...
 //! pva-bench diff A.json B.json
 //!
 //! EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS]
 //!             [--retries N] [--strict]
 //! ```
-//!
-//! `--device` narrows device-parameterized scenarios (currently the
-//! `techsweep` generation sweep) to one named [`sdram::DevicePreset`]
-//! — the per-generation CI smoke. It is exported to cells through the
-//! `PVA_BENCH_DEVICE` environment variable; such runs write and verify
-//! per-preset goldens (`techsweep.<preset>.txt`) instead of the
-//! default-sweep `techsweep.txt`.
 //!
 //! A single scenario prints exactly what its legacy binary printed
 //! (goldens live in `results/`). `all` fans every cell of every
@@ -103,29 +96,18 @@ fn usage() -> ! {
     eprintln!(
         "usage: pva-bench list\n\
          \x20      pva-bench <scenario> [--jobs N] [--json DIR] [--out DIR]\n\
-         \x20                           [--verify DIR] [--device PRESET] [EXEC FLAGS]\n\
+         \x20                           [--verify DIR] [EXEC FLAGS]\n\
          \x20      pva-bench all [--smoke] [--jobs N] [--json DIR] [--out DIR]\n\
-         \x20                    [--verify DIR] [--min-speedup X] [--device PRESET]\n\
-         \x20                    [EXEC FLAGS]\n\
+         \x20                    [--verify DIR] [--min-speedup X] [EXEC FLAGS]\n\
          \x20      pva-bench validate FILE...\n\
          \x20      pva-bench diff A.json B.json\n\
          EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS]\n\
          \x20           [--retries N] [--strict]\n\
          exit codes: 0 ok, 1 error, 2 usage, 3 verify/diff mismatch,\n\
          \x20           4 schema-invalid, 5 cell failures\n\
-         run `pva-bench list` for scenario names; --device takes one of: {}",
-        device_names()
+         run `pva-bench list` for scenario names"
     );
     std::process::exit(EXIT_USAGE as i32);
-}
-
-/// Comma-separated CLI slugs of every shipped device preset.
-fn device_names() -> String {
-    sdram::DevicePreset::ALL
-        .iter()
-        .map(|p| p.name())
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 struct Options {
@@ -188,19 +170,6 @@ fn parse_options(args: &[String]) -> Options {
                     std::process::exit(EXIT_USAGE as i32);
                 }))
             }
-            "--device" => {
-                let name = value("--device");
-                let Some(preset) = sdram::DevicePreset::from_name(name.trim()) else {
-                    eprintln!(
-                        "--device: unknown preset '{name}' (expected one of: {})",
-                        device_names()
-                    );
-                    std::process::exit(EXIT_USAGE as i32);
-                };
-                // Cells read the selection from the environment (same
-                // channel the chaos grid uses for its spec).
-                std::env::set_var("PVA_BENCH_DEVICE", preset.name());
-            }
             "--journal" => o.journal = Some(value("--journal")),
             "--resume" => o.resume = true,
             "--cell-timeout" => {
@@ -261,18 +230,6 @@ fn attach_metrics(reports: &mut [ScenarioReport]) {
     }
 }
 
-/// File stem of a report's rendered-text output and golden. A
-/// device-narrowed run (`--device`) of the device-sensitive techsweep
-/// scenario renders a different table per preset, so each preset gets
-/// its own golden (`techsweep.<preset>.txt`); JSON records keep the
-/// plain name — CI already separates them by directory.
-fn text_stem(name: &str) -> String {
-    match std::env::var("PVA_BENCH_DEVICE") {
-        Ok(d) if name == "techsweep" && !d.is_empty() => format!("{name}.{d}"),
-        _ => name.to_string(),
-    }
-}
-
 fn write_outputs(reports: &[ScenarioReport], opts: &Options) -> Result<(), String> {
     if let Some(dir) = &opts.json_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
@@ -285,19 +242,19 @@ fn write_outputs(reports: &[ScenarioReport], opts: &Options) -> Result<(), Strin
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         for r in reports {
-            let path = format!("{dir}/{}.txt", text_stem(r.name));
+            let path = format!("{dir}/{}.txt", r.name);
             std::fs::write(&path, &r.text).map_err(|e| format!("writing {path}: {e}"))?;
         }
     }
     Ok(())
 }
 
-/// Diffs rendered text against `<dir>/<stem>.txt` goldens; returns the
+/// Diffs rendered text against `<dir>/<name>.txt` goldens; returns the
 /// names that mismatched.
 fn verify(reports: &[ScenarioReport], dir: &str) -> Vec<String> {
     let mut bad = Vec::new();
     for r in reports.iter().filter(|r| r.golden) {
-        let path = format!("{dir}/{}.txt", text_stem(r.name));
+        let path = format!("{dir}/{}.txt", r.name);
         match std::fs::read_to_string(&path) {
             Ok(golden) if golden == r.text => {}
             Ok(_) => bad.push(format!("{} (differs from {path})", r.name)),

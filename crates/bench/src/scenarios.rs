@@ -48,7 +48,6 @@ pub fn scenarios() -> Vec<Scenario> {
         ext_cache_pollution(),
         related_cvms(),
         related_smc(),
-        tech_sweep(),
         techsweep(),
         scaling_banks(),
         design_space(),
@@ -1187,144 +1186,23 @@ fn gathered_reads(cfg: PvaConfig, stride: u64) -> u64 {
     unit.run(reqs).expect("runs").cycles
 }
 
-fn tech_list() -> Vec<(&'static str, SdramConfig)> {
-    vec![
-        (
-            "edo-like (1 row buffer)",
-            SdramConfig::for_device(DevicePreset::EdoLike),
-        ),
-        ("sdram (4 internal banks)", SdramConfig::default()),
-        (
-            "sldram-like (8 banks)",
-            SdramConfig::for_device(DevicePreset::SldramLike),
-        ),
-        (
-            "drdram-like (32 banks)",
-            SdramConfig::for_device(DevicePreset::DrdramLike),
-        ),
-        (
-            "ideal sram",
-            SdramConfig::for_device(DevicePreset::SramLike),
-        ),
-    ]
-}
-
-fn tech_row_conflict(sdram: SdramConfig) -> u64 {
-    let cfg = PvaConfig {
-        sdram,
-        ..PvaConfig::default()
-    };
-    let k = Kernel::Vaxpy;
-    let bases = Alignment::Coincident.bases(k.array_count(), ARRAY_REGION);
-    let trace = k.trace(&bases, 16, ELEMENTS, LINE_WORDS);
-    PvaSystem::with_config("tech", cfg).run_trace(&trace).cycles
-}
-
-fn tech_sweep() -> Scenario {
-    Scenario {
-        name: "tech_sweep",
-        alias: "tech",
-        title: "DRAM technology sweep: the PVA over EDO/SDRAM/SLDRAM/DRDRAM/SRAM",
-        smoke: false,
-        golden: true,
-        build: || {
-            tech_list()
-                .into_iter()
-                .map(|(name, sdram)| {
-                    CellSpec::new(name, "tech", move || {
-                        let run = |stride| {
-                            gathered_reads(
-                                PvaConfig {
-                                    sdram,
-                                    ..PvaConfig::default()
-                                },
-                                stride,
-                            )
-                        };
-                        let (s1, s16, s19) = (run(1), run(16), run(19));
-                        let rc = tech_row_conflict(sdram);
-                        CellData::with_aux(s1 + s16 + s19 + rc, 0, vec![s1, s16, s19, rc])
-                    })
-                })
-                .collect()
-        },
-        render: |cells| {
-            let mut t = Table::new(vec![
-                "device",
-                "stride 1",
-                "stride 16",
-                "stride 19",
-                "vaxpy s16 (row conflicts)",
-            ]);
-            for ((name, _), c) in tech_list().iter().zip(cells) {
-                t.row(vec![
-                    name.to_string(),
-                    c.aux[0].to_string(),
-                    c.aux[1].to_string(),
-                    c.aux[2].to_string(),
-                    c.aux[3].to_string(),
-                ]);
-            }
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "DRAM technology sweep — 16 gathered reads through the PVA (cycles)\n"
-            );
-            let _ = writeln!(out, "{t}");
-            let _ = writeln!(
-                out,
-                "on pure vector bursts (first three columns) the PVA's scheduling amortizes row"
-            );
-            let _ = writeln!(
-                out,
-                "opens so thoroughly that even a single-row-buffer EDO-like device keeps pace —"
-            );
-            let _ = writeln!(
-                out,
-                "the latency-hiding claim of the paper in its strongest form; device differences"
-            );
-            let _ = writeln!(
-                out,
-                "surface only under row *conflicts* (last column), where internal-bank overlap"
-            );
-            let _ = writeln!(
-                out,
-                "and the core timings separate the technologies, SRAM bounding them below"
-            );
-            out
-        },
-    }
-}
-
 // ---------------------------------------------------------------------
 // Technology-generation sweep: the fig-7 comparison per device preset.
-
-/// The generations the sweep runs by default: the paper's SDR part plus
-/// the two modern profiles whose channel constraints (tCCD/tRRD/tFAW)
-/// could plausibly erode the PVA's parallel-access advantage.
-const TECHSWEEP_DEFAULT: [DevicePreset; 3] = [
-    DevicePreset::Sdr100,
-    DevicePreset::Ddr3_1600,
-    DevicePreset::Hbm2Like,
-];
 
 /// Strides of the generation sweep — the fig-7 corners: dense, powers
 /// of two (cache-pathological), and relatively prime.
 const TECHSWEEP_STRIDES: [u64; 4] = [1, 4, 16, 19];
 
-/// The device generations this run covers. `PVA_BENCH_DEVICE` (set by
-/// `pva-bench --device`) narrows the sweep to a single preset — any
-/// shipped [`DevicePreset`], not just the default trio — which is how
-/// the CI smoke exercises every generation one at a time. An
-/// unrecognized value falls back to the default trio (the `--device`
-/// flag validates before setting the variable).
-fn techsweep_devices() -> Vec<DevicePreset> {
-    match std::env::var("PVA_BENCH_DEVICE") {
-        Ok(name) if !name.trim().is_empty() => DevicePreset::from_name(name.trim())
-            .map(|p| vec![p])
-            .unwrap_or_else(|| TECHSWEEP_DEFAULT.to_vec()),
-        _ => TECHSWEEP_DEFAULT.to_vec(),
-    }
+/// The rows of every device block: the fig-7 kernels at the corner
+/// strides, then the §2.3 row-conflict probe: vaxpy at stride 16, whose
+/// three coincident streams fight over the same banks' rows, so
+/// internal-bank overlap and the core timings separate the
+/// technologies.
+fn techsweep_rows() -> impl Iterator<Item = (Kernel, u64)> {
+    FIG7_KERNELS
+        .iter()
+        .flat_map(|&k| TECHSWEEP_STRIDES.iter().map(move |&s| (k, s)))
+        .chain([(Kernel::Vaxpy, 16)])
 }
 
 /// One sweep point: (pva, cacheline, serial-gather) cycles for the
@@ -1383,29 +1261,26 @@ fn techsweep() -> Scenario {
         smoke: true,
         golden: true,
         build: || {
-            let mut cells = Vec::new();
-            for preset in techsweep_devices() {
-                for &k in &FIG7_KERNELS {
-                    for &s in &TECHSWEEP_STRIDES {
-                        cells.push(CellSpec::new(
-                            preset.name(),
-                            format!("{}/s{}", k.name(), s),
-                            move || {
-                                let (pva, cacheline, serial, sched) = techsweep_point(preset, k, s);
-                                // aux[0..3] feed the rendered table;
-                                // aux[3..7] are the scheduler counters
-                                // (group switches, coalesced bursts,
-                                // deferred activates, CAS commands)
-                                // consumed by `techsweep_metrics`.
-                                let mut aux = vec![pva, cacheline, serial];
-                                aux.extend(sched);
-                                CellData::with_aux(pva + cacheline + serial, 0, aux)
-                            },
-                        ));
-                    }
-                }
-            }
-            cells
+            DevicePreset::ALL
+                .into_iter()
+                .flat_map(|preset| {
+                    techsweep_rows().map(move |(k, s)| {
+                        CellSpec::new(preset.name(), format!("{}/s{}", k.name(), s), move || {
+                            let (pva, cacheline, serial, sched) = techsweep_point(preset, k, s);
+                            // `cycles` counts only the simulated PVA
+                            // run. aux[0..3] feed the rendered table
+                            // (the closed-form baselines live only
+                            // here); aux[3..7] are the scheduler
+                            // counters (group switches, coalesced
+                            // bursts, deferred activates, CAS commands)
+                            // consumed by `techsweep_metrics`.
+                            let mut aux = vec![pva, cacheline, serial];
+                            aux.extend(sched);
+                            CellData::with_aux(pva, 0, aux)
+                        })
+                    })
+                })
+                .collect()
         },
         render: |cells| {
             let mut out = String::new();
@@ -1417,8 +1292,8 @@ fn techsweep() -> Scenario {
                 out,
                 "(coincident alignment; cycles per 1024-element kernel)"
             );
-            let mut idx = 0;
-            for preset in techsweep_devices() {
+            let mut rows = cells.iter();
+            for preset in DevicePreset::ALL {
                 let cfg = SdramConfig::for_device(preset);
                 let _ = writeln!(out, "\n{} — {}", preset.name(), preset.title());
                 let _ = writeln!(
@@ -1436,24 +1311,20 @@ fn techsweep() -> Scenario {
                     "serial/pva",
                 ]);
                 let (mut min_up, mut max_up) = (f64::INFINITY, 0.0f64);
-                for &k in &FIG7_KERNELS {
-                    for &s in &TECHSWEEP_STRIDES {
-                        let c = &cells[idx];
-                        idx += 1;
-                        let (pva, cacheline, serial) = (c.aux[0], c.aux[1], c.aux[2]);
-                        let up = cacheline as f64 / pva as f64;
-                        min_up = min_up.min(up);
-                        max_up = max_up.max(up);
-                        t.row(vec![
-                            k.name().to_string(),
-                            s.to_string(),
-                            pva.to_string(),
-                            cacheline.to_string(),
-                            serial.to_string(),
-                            format!("{up:.2}x"),
-                            format!("{:.2}x", serial as f64 / pva as f64),
-                        ]);
-                    }
+                for ((k, s), c) in techsweep_rows().zip(&mut rows) {
+                    let (pva, cacheline, serial) = (c.aux[0], c.aux[1], c.aux[2]);
+                    let up = cacheline as f64 / pva as f64;
+                    min_up = min_up.min(up);
+                    max_up = max_up.max(up);
+                    t.row(vec![
+                        k.name().to_string(),
+                        s.to_string(),
+                        pva.to_string(),
+                        cacheline.to_string(),
+                        serial.to_string(),
+                        format!("{up:.2}x"),
+                        format!("{:.2}x", serial as f64 / pva as f64),
+                    ]);
                 }
                 let _ = writeln!(out, "{t}");
                 let verdict = if min_up >= 1.0 {
@@ -2042,20 +1913,23 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate scenario name or alias");
-        assert_eq!(all.len(), 20);
+        assert_eq!(all.len(), 19);
     }
 
     #[test]
-    fn techsweep_covers_the_default_generations() {
-        // The default sweep must include the paper's SDR part (the
-        // equivalence anchor) plus at least two later generations.
-        assert!(TECHSWEEP_DEFAULT.contains(&DevicePreset::Sdr100));
-        assert!(TECHSWEEP_DEFAULT.len() >= 3);
+    fn techsweep_covers_every_preset_and_row() {
         let cells = (find("techsweep").unwrap().build)();
-        assert_eq!(
-            cells.len(),
-            TECHSWEEP_DEFAULT.len() * FIG7_KERNELS.len() * TECHSWEEP_STRIDES.len()
-        );
+        let got: Vec<(String, String)> = cells.into_iter().map(|c| (c.system, c.label)).collect();
+        let mut want = Vec::new();
+        for preset in DevicePreset::ALL {
+            for k in FIG7_KERNELS {
+                for s in TECHSWEEP_STRIDES {
+                    want.push((preset.name().to_string(), format!("{}/s{s}", k.name())));
+                }
+            }
+            want.push((preset.name().to_string(), "vaxpy/s16".to_string()));
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

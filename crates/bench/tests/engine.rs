@@ -79,10 +79,11 @@ fn cheap_scenarios_match_committed_goldens() {
         "related_cvms",
         "design_space",
         "scaling_banks",
-        // The generation sweep doubles as the SDR-equivalence proof:
-        // its first block runs the sdr100 preset through the same
-        // fig-7 kernels, so a preset drifting from the legacy default
-        // config shows up as a golden mismatch here.
+        // The generation sweep covers every `DevicePreset::ALL` entry
+        // (edo first) and doubles as the SDR-equivalence proof: its
+        // sdr100 block runs the paper's preset through the same fig-7
+        // kernels, so a preset drifting from the legacy default config
+        // shows up as a golden mismatch here.
         "techsweep",
     ] {
         let s = must_find(name);

@@ -130,7 +130,7 @@ pub const MAX_BANK_GROUPS: u32 = 8;
 ///
 /// The typed form of the old ad-hoc `SdramConfig::{sram_like, ...}`
 /// constructors: every shipped profile is an enum variant, so sweeps
-/// (`pva-bench --device`, the analysis passes) can iterate
+/// (the `pva-bench techsweep` scenario, the analysis passes) iterate
 /// [`DevicePreset::ALL`] instead of maintaining hand-written lists.
 ///
 /// # Examples
@@ -184,7 +184,7 @@ impl DevicePreset {
         DevicePreset::SramLike,
     ];
 
-    /// The CLI slug (`pva-bench --device <name>`).
+    /// The short slug naming the preset in tables and run records.
     pub const fn name(self) -> &'static str {
         match self {
             DevicePreset::Sdr100 => "sdr100",
@@ -198,7 +198,7 @@ impl DevicePreset {
         }
     }
 
-    /// A one-line human description for tables and `--device` listings.
+    /// A one-line human description for tables and listings.
     pub const fn title(self) -> &'static str {
         match self {
             DevicePreset::Sdr100 => "SDR-100 (paper prototype, 4 banks)",
@@ -212,7 +212,7 @@ impl DevicePreset {
         }
     }
 
-    /// Parses a CLI slug back to its preset.
+    /// Parses a slug ([`name`](DevicePreset::name)) back to its preset.
     pub fn from_name(s: &str) -> Option<DevicePreset> {
         DevicePreset::ALL.into_iter().find(|p| p.name() == s)
     }

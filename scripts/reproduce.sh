@@ -32,7 +32,4 @@ cargo run -p pva-bench --release --bin fault_campaign -- --smoke
 echo "== sweep csv =="
 cargo run --release --bin pva-explore -- sweep-csv results/sweep.csv
 
-echo "== criterion benches =="
-cargo bench -p pva-bench
-
 echo "done: see results/ and EXPERIMENTS.md"
