@@ -84,13 +84,15 @@ pub const WAKE_RULES: &[WakeRule] = &[
     },
     WakeRule {
         trigger: "should_defer_activate",
-        source: "channel_next_expiry",
-        why: "the tFAW slot count behind activate deferral changes when a channel gate expires",
+        source: "access_ready_at",
+        why: "activate deferral only fires while a window CAS is timing-legal, which the \
+              context's access arm (tRCD plus the group's tCCD) wakes for; that CAS then issues",
     },
     WakeRule {
         trigger: "last_cas_group",
-        source: "channel_next_expiry",
-        why: "the group-interleave preference's candidate set changes when a tCCD gate expires",
+        source: "access_ready_at",
+        why: "the group-interleave preference only orders CAS candidates that are already \
+              legal, and each candidate's legality is its access arm (tRCD plus tCCD)",
     },
     WakeRule {
         trigger: "coalesce_run",

@@ -97,13 +97,13 @@ fn dropped_wake_arm_is_caught() {
 }
 
 #[test]
-fn dropped_channel_wake_arm_is_caught() {
-    // Seeded defect: compute_wake forgets the channel-gate wake arm the
-    // generation-aware policy depends on. `channel_next_expiry` occurs
-    // exactly once in the controller (inside compute_wake), so renaming
-    // it models deleting the arm; the triggers (`should_defer_activate`
-    // and `last_cas_group` in the scheduling path) survive, so the
-    // static pass must report both uncovered triggers.
+fn dropped_access_wake_arm_is_caught() {
+    // Seeded defect: compute_wake forgets the open-row access arm — the
+    // per-context wake on tRCD plus the bank group's tCCD gate. That arm
+    // is also what covers the generation-aware policy's channel-global
+    // decisions (activate deferral and the group-interleave
+    // preference), so the static pass must report all three triggers
+    // that depend on it, not just the row-open one.
     let root = pva_analysis::find_workspace_root().expect("workspace root");
     let pristine = std::fs::read_to_string(root.join(wake_check::CONTROLLER_SRC))
         .expect("controller source readable");
@@ -112,15 +112,20 @@ fn dropped_channel_wake_arm_is_caught() {
         Vec::<String>::new(),
         "the pristine controller must pass before mutating it"
     );
-    let mutated = pristine.replace("channel_next_expiry", "channel_next_expiry_gone");
-    assert_ne!(mutated, pristine, "the wake source must exist to delete");
+    let arm = "Some(open) if open == row => self.device.access_ready_at(ib),";
+    assert_eq!(
+        pristine.matches(arm).count(),
+        1,
+        "the access arm must exist to delete"
+    );
+    let mutated = pristine.replace(arm, "Some(open) if open == row => u64::MAX,");
     let findings = wake_check::check_source(&mutated);
-    for trigger in ["should_defer_activate", "last_cas_group"] {
+    for trigger in ["open_row", "should_defer_activate", "last_cas_group"] {
         assert!(
             findings
                 .iter()
-                .any(|f| f.contains(trigger) && f.contains("channel_next_expiry")),
-            "a dropped channel wake arm must be reported for `{trigger}`, got: {findings:?}"
+                .any(|f| f.contains(&format!("`{trigger}`")) && f.contains("access_ready_at")),
+            "a dropped access wake arm must be reported for `{trigger}`, got: {findings:?}"
         );
     }
 }

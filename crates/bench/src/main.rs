@@ -5,7 +5,7 @@
 //! pva-bench <scenario> [--jobs N] [--json DIR] [--out DIR] [--verify DIR]
 //!                      [EXEC FLAGS]
 //! pva-bench all [--smoke] [--jobs N] [--json DIR] [--out DIR] [--verify DIR]
-//!               [--min-speedup X] [EXEC FLAGS]
+//!               [--min-speedup [PRESET=]X]... [EXEC FLAGS]
 //! pva-bench validate FILE...
 //! pva-bench diff A.json B.json
 //!
@@ -18,7 +18,9 @@
 //! selected scenario across a work-stealing pool, writes per-scenario
 //! text (`--out`) and `BENCH_<name>.json` records (`--json`), and can
 //! diff the text against committed goldens (`--verify`). `--min-speedup`
-//! gates on the `throughput` scenario's fast-path speedup.
+//! gates on the `throughput` scenario's fast-path speedups: `X` is a
+//! floor for every preset cell, `PRESET=X` (repeatable) a floor for one
+//! cell that overrides the bare floor.
 //!
 //! Execution is resilient: `--journal` checkpoints every completed cell
 //! to a write-ahead JSONL file so a killed run continues with
@@ -43,7 +45,7 @@ use pva_bench::engine::{
 use pva_bench::journal;
 use pva_bench::resilient::ExecPolicy;
 use pva_bench::scenarios::{
-    find, scenarios, techsweep_metrics, throughput_metrics, throughput_speedup,
+    find, scenarios, techsweep_metrics, throughput_metrics, throughput_speedups,
 };
 
 /// Everything went fine.
@@ -98,7 +100,7 @@ fn usage() -> ! {
          \x20      pva-bench <scenario> [--jobs N] [--json DIR] [--out DIR]\n\
          \x20                           [--verify DIR] [EXEC FLAGS]\n\
          \x20      pva-bench all [--smoke] [--jobs N] [--json DIR] [--out DIR]\n\
-         \x20                    [--verify DIR] [--min-speedup X] [EXEC FLAGS]\n\
+         \x20                    [--verify DIR] [--min-speedup [PRESET=]X]... [EXEC FLAGS]\n\
          \x20      pva-bench validate FILE...\n\
          \x20      pva-bench diff A.json B.json\n\
          EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS]\n\
@@ -116,7 +118,9 @@ struct Options {
     json_dir: Option<String>,
     out_dir: Option<String>,
     verify_dir: Option<String>,
-    min_speedup: Option<f64>,
+    /// `--min-speedup` floors: `(None, x)` for every throughput cell,
+    /// `(Some(preset), x)` for one.
+    min_speedup: Vec<(Option<String>, f64)>,
     journal: Option<String>,
     resume: bool,
     /// Per-cell wall-clock budget in seconds; 0 disables.
@@ -132,7 +136,7 @@ fn parse_options(args: &[String]) -> Options {
         json_dir: None,
         out_dir: None,
         verify_dir: None,
-        min_speedup: None,
+        min_speedup: Vec::new(),
         journal: None,
         resume: false,
         cell_timeout: 120.0,
@@ -165,10 +169,16 @@ fn parse_options(args: &[String]) -> Options {
             "--out" => o.out_dir = Some(value("--out")),
             "--verify" => o.verify_dir = Some(value("--verify")),
             "--min-speedup" => {
-                o.min_speedup = Some(value("--min-speedup").parse().unwrap_or_else(|_| {
-                    eprintln!("--min-speedup takes a number");
+                let v = value("--min-speedup");
+                let (preset, x) = match v.split_once('=') {
+                    Some((p, x)) => (Some(p.to_string()), x),
+                    None => (None, v.as_str()),
+                };
+                let x = x.parse().unwrap_or_else(|_| {
+                    eprintln!("--min-speedup takes a number or PRESET=number");
                     std::process::exit(EXIT_USAGE as i32);
-                }))
+                });
+                o.min_speedup.push((preset, x));
             }
             "--journal" => o.journal = Some(value("--journal")),
             "--resume" => o.resume = true,
@@ -264,21 +274,64 @@ fn verify(reports: &[ScenarioReport], dir: &str) -> Vec<String> {
     bad
 }
 
-fn gate_speedup(reports: &[ScenarioReport], floor: f64) -> Result<f64, String> {
+fn gate_speedup(
+    reports: &[ScenarioReport],
+    floors: &[(Option<String>, f64)],
+) -> Result<Vec<String>, String> {
     let t = reports
         .iter()
         .find(|r| r.name == "throughput")
         .ok_or("--min-speedup given but the throughput scenario did not run")?;
     if !t.record.failures.is_empty() {
-        return Err("--min-speedup given but the throughput probe cell was quarantined".into());
+        return Err("--min-speedup given but a throughput probe cell was quarantined".into());
     }
-    let speedup = throughput_speedup(&t.data);
-    if speedup < floor {
-        return Err(format!(
-            "fast-path speedup {speedup:.2}x is below the --min-speedup floor {floor:.2}x"
-        ));
+    check_floors(&throughput_speedups(&t.data), floors)
+}
+
+/// Checks each preset's speedup against its floor: the last
+/// `PRESET=X` naming it, else the last bare `X`, else none. Returns one
+/// line per gated preset, or every failing line; a floor naming a
+/// preset with no cell is an error.
+fn check_floors(
+    speedups: &[(&str, f64)],
+    floors: &[(Option<String>, f64)],
+) -> Result<Vec<String>, String> {
+    for p in floors.iter().filter_map(|(p, _)| p.as_deref()) {
+        if speedups.iter().all(|s| s.0 != p) {
+            return Err(format!(
+                "--min-speedup names '{p}', which has no throughput cell"
+            ));
+        }
     }
-    Ok(speedup)
+    let floor_of = |preset: &str| {
+        let named = floors
+            .iter()
+            .rev()
+            .find(|(p, _)| p.as_deref() == Some(preset));
+        named
+            .or_else(|| floors.iter().rev().find(|(p, _)| p.is_none()))
+            .map(|f| f.1)
+    };
+    let mut passed = Vec::new();
+    let mut failed = Vec::new();
+    for &(preset, speedup) in speedups {
+        let Some(floor) = floor_of(preset) else {
+            continue;
+        };
+        let line = format!("{preset} fast-path speedup {speedup:.2}x");
+        if speedup < floor {
+            failed.push(format!(
+                "{line} is below the --min-speedup floor {floor:.2}x"
+            ));
+        } else {
+            passed.push(format!("{line} >= {floor:.2}x"));
+        }
+    }
+    if failed.is_empty() {
+        Ok(passed)
+    } else {
+        Err(failed.join("; "))
+    }
 }
 
 /// Prints quarantined-cell details to stderr; returns how many there
@@ -379,9 +432,13 @@ fn cmd_all(opts: &Options) -> ExitCode {
             }
         }
     }
-    if let Some(floor) = opts.min_speedup {
-        match gate_speedup(&reports, floor) {
-            Ok(s) => println!("throughput gate: fast-path speedup {s:.2}x >= {floor:.2}x"),
+    if !opts.min_speedup.is_empty() {
+        match gate_speedup(&reports, &opts.min_speedup) {
+            Ok(lines) => {
+                for line in lines {
+                    println!("throughput gate: {line}");
+                }
+            }
             Err(e) => {
                 status.verify_mismatch = true;
                 eprintln!("error: {e}");
@@ -631,5 +688,26 @@ mod tests {
         );
         assert_eq!(exit_code(status(true, false, true, true)), EXIT_SCHEMA);
         assert_eq!(exit_code(status(true, false, true, false)), EXIT_VERIFY);
+    }
+
+    #[test]
+    fn speedup_floors_are_per_preset_with_a_bare_default() {
+        let speedups = [("sdr100", 2.4), ("ddr3-1600", 2.6), ("hbm2", 2.3)];
+        let floor = |p: Option<&str>, x| (p.map(String::from), x);
+        // A bare floor gates every cell.
+        assert_eq!(
+            check_floors(&speedups, &[floor(None, 2.0)]).unwrap().len(),
+            3
+        );
+        let err = check_floors(&speedups, &[floor(None, 2.35)]).unwrap_err();
+        assert!(err.contains("hbm2") && !err.contains("sdr100"), "{err}");
+        // A named floor overrides the bare one for its cell only.
+        let ok = check_floors(&speedups, &[floor(None, 2.35), floor(Some("hbm2"), 2.2)]).unwrap();
+        assert_eq!(ok.len(), 3);
+        // Named floors alone gate only the cells they name.
+        let ok = check_floors(&speedups, &[floor(Some("ddr3-1600"), 2.5)]).unwrap();
+        assert_eq!(ok, vec!["ddr3-1600 fast-path speedup 2.60x >= 2.50x"]);
+        // A floor for a preset with no cell is an error, not a no-op.
+        assert!(check_floors(&speedups, &[floor(Some("ddr4"), 1.0)]).is_err());
     }
 }

@@ -1682,24 +1682,40 @@ fn cpu_sensitivity() -> Scenario {
 
 const THROUGHPUT_REPS: u64 = 15;
 
-/// Measures the reference and fast-path models *paired in time*: for
-/// each (kernel, stride) point the two systems alternate rep by rep,
-/// so slow drift (hypervisor steal, frequency scaling) hits both sides
-/// of the ratio equally. Each side is scored by its fastest rep —
-/// noise only ever adds time, so min-of-N estimates the true per-run
-/// cost. The cell's `aux` carries
+/// The presets the throughput probe measures, one paired cell each:
+/// the paper's SDR part (arrival-order scheduling) and the two
+/// generation-aware parts (channel-aware windows, coalescing, tFAW
+/// pacing), whose controllers do different work per tick.
+const THROUGHPUT_PRESETS: [DevicePreset; 3] = [
+    DevicePreset::Sdr100,
+    DevicePreset::Ddr3_1600,
+    DevicePreset::Hbm2Like,
+];
+
+/// Index of the idle-tick count in a throughput cell's `aux`.
+const AUX_IDLE_TICKS: usize = 7 + JUMP_BUCKETS;
+
+/// Measures the reference and fast-path models on `preset` *paired in
+/// time*: for each (kernel, stride) point the two systems alternate rep
+/// by rep, so slow drift (hypervisor steal, frequency scaling) hits
+/// both sides of the ratio equally. Each side is scored by its fastest
+/// rep — noise only ever adds time, so min-of-N estimates the true
+/// per-run cost. The cell's `aux` carries
 /// `[model_cycles, ref_wall_ns, fast_wall_ns,
 ///   executed_cycles, skipped_cycles, jumps, events_popped,
-///   jump_hist[0..JUMP_BUCKETS]]`
+///   jump_hist[0..JUMP_BUCKETS], idle_ticks]`
 /// where the event-loop counters are one sweep's worth from the fast
 /// model (runs are deterministic, so every rep agrees);
 /// `cycles`/`bytes` count both models' simulated work.
-fn throughput_probe() -> CellData {
-    let ref_cfg = PvaConfig {
-        fast_sim: false,
+fn throughput_probe(preset: DevicePreset) -> CellData {
+    let fast_cfg = PvaConfig {
+        sdram: SdramConfig::for_device(preset),
         ..PvaConfig::default()
     };
-    let fast_cfg = PvaConfig::default();
+    let ref_cfg = PvaConfig {
+        fast_sim: false,
+        ..fast_cfg
+    };
     let mut cycles = 0u64;
     let mut bytes = 0u64;
     let mut ref_wall = 0u64;
@@ -1749,22 +1765,43 @@ fn throughput_probe() -> CellData {
         events.events_popped,
     ];
     aux.extend(events.jump_hist);
+    aux.push(events.idle_ticks);
     CellData::with_aux(cycles, bytes, aux)
 }
 
-/// Simulated-cycles-per-second of one side of the paired probe cell.
+/// Simulated-cycles-per-second of one side of a paired probe cell.
 fn sim_rate(c: &CellData, wall_ns: u64) -> f64 {
     c.aux[0] as f64 / (wall_ns.max(1) as f64 / 1e9)
 }
 
-/// The fast-vs-reference speedup from a throughput scenario's cells.
-/// Returns 0.0 when the probe cell was quarantined (empty `aux`), so a
-/// `--min-speedup` gate fails rather than panics.
-pub fn throughput_speedup(cells: &[CellData]) -> f64 {
-    let Some(c) = cells.first().filter(|c| c.aux.len() >= 3) else {
+/// The fast-vs-reference speedup of one throughput cell. Returns 0.0
+/// when the cell was quarantined (empty `aux`), so a `--min-speedup`
+/// gate fails rather than panics.
+fn throughput_speedup(cell: &CellData) -> f64 {
+    if cell.aux.len() < 3 {
         return 0.0;
-    };
-    sim_rate(c, c.aux[2]) / sim_rate(c, c.aux[1])
+    }
+    sim_rate(cell, cell.aux[2]) / sim_rate(cell, cell.aux[1])
+}
+
+/// The fast-vs-reference speedup of each cell of a throughput
+/// scenario's results, by preset name (0.0 for a quarantined cell).
+pub fn throughput_speedups(cells: &[CellData]) -> Vec<(&'static str, f64)> {
+    THROUGHPUT_PRESETS
+        .iter()
+        .zip(cells)
+        .map(|(p, c)| (p.name(), throughput_speedup(c)))
+        .collect()
+}
+
+/// The measured (non-quarantined) cells of a throughput scenario's
+/// results, paired with their preset names.
+fn measured_cells(cells: &[CellData]) -> impl Iterator<Item = (&'static str, &CellData)> {
+    THROUGHPUT_PRESETS
+        .iter()
+        .zip(cells)
+        .filter(|(_, c)| c.aux.len() > AUX_IDLE_TICKS)
+        .map(|(p, c)| (p.name(), c))
 }
 
 /// Derived metrics of the `techsweep` scenario: the generation-aware
@@ -1795,39 +1832,48 @@ pub fn techsweep_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
     ]
 }
 
-/// Derived figures for the throughput scenario's `BENCH_*.json` record:
-/// per-model simulated-cycles-per-second, the fast-path speedup, the
-/// event-loop density (wake-ups popped per thousand simulated cycles —
-/// the cost the event queue pays for the cycles it skips), and the
-/// jump-size histogram (bucket `i` counts bulk time-advances of
-/// `2^i..2^(i+1)-1` cycles; the last bucket is open-ended).
+/// Jump-histogram bucket `i`'s range: bulk time-advances of
+/// `2^i..=2^(i+1)-1` cycles; the last bucket is open-ended (`None`).
+fn jump_bucket(i: usize) -> (u64, Option<u64>) {
+    let lo = 1u64 << i;
+    (lo, (i + 1 < JUMP_BUCKETS).then(|| 2 * lo - 1))
+}
+
+/// Derived figures for the throughput scenario's `BENCH_*.json` record,
+/// per preset cell (metric names prefixed `<preset>.`): per-model
+/// simulated-cycles-per-second, the fast-path speedup, the event-loop
+/// density (wake-ups popped per thousand simulated cycles — the cost
+/// the event queue pays for the cycles it skips), the share of those
+/// wake-ups whose tick did no work, and the jump-size histogram.
+/// Quarantined cells contribute nothing.
 pub fn throughput_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
-    let Some(c) = cells.first().filter(|c| c.aux.len() >= 7 + JUMP_BUCKETS) else {
-        return Vec::new(); // probe cell quarantined
-    };
-    let sweep_cycles = c.aux[0] / THROUGHPUT_REPS;
-    let mut m = vec![
-        ("sim_cycles_per_sec_reference".into(), sim_rate(c, c.aux[1])),
-        ("sim_cycles_per_sec_event".into(), sim_rate(c, c.aux[2])),
-        ("fast_path_speedup".into(), throughput_speedup(cells)),
-        (
-            "executed_cycle_fraction".into(),
-            c.aux[3] as f64 / sweep_cycles.max(1) as f64,
-        ),
-        (
-            "events_per_kcycle".into(),
-            c.aux[6] as f64 * 1e3 / sweep_cycles.max(1) as f64,
-        ),
-    ];
-    for (i, &count) in c.aux[7..7 + JUMP_BUCKETS].iter().enumerate() {
-        let label = if i + 1 == JUMP_BUCKETS {
-            format!("jump_hist_{}_plus", 1u64 << i)
-        } else {
-            format!("jump_hist_{}_{}", 1u64 << i, (1u64 << (i + 1)) - 1)
-        };
-        m.push((label, count as f64));
+    let mut m = Vec::new();
+    for (p, c) in measured_cells(cells) {
+        let sweep_cycles = (c.aux[0] / THROUGHPUT_REPS).max(1) as f64;
+        let figures = [
+            ("sim_cycles_per_sec_reference", sim_rate(c, c.aux[1])),
+            ("sim_cycles_per_sec_event", sim_rate(c, c.aux[2])),
+            ("fast_path_speedup", throughput_speedup(c)),
+            ("executed_cycle_fraction", c.aux[3] as f64 / sweep_cycles),
+            ("events_per_kcycle", c.aux[6] as f64 * 1e3 / sweep_cycles),
+            ("idle_tick_fraction", idle_tick_fraction(c)),
+        ];
+        m.extend(figures.map(|(k, v)| (format!("{p}.{k}"), v)));
+        for (i, &count) in c.aux[7..7 + JUMP_BUCKETS].iter().enumerate() {
+            let label = match jump_bucket(i) {
+                (lo, Some(hi)) => format!("{p}.jump_hist_{lo}_{hi}"),
+                (lo, None) => format!("{p}.jump_hist_{lo}_plus"),
+            };
+            m.push((label, count as f64));
+        }
     }
     m
+}
+
+/// Share of a throughput cell's controller wake-ups whose tick did no
+/// work.
+fn idle_tick_fraction(c: &CellData) -> f64 {
+    c.aux[AUX_IDLE_TICKS] as f64 / c.aux[6].max(1) as f64
 }
 
 fn throughput() -> Scenario {
@@ -1838,60 +1884,68 @@ fn throughput() -> Scenario {
         smoke: true,
         golden: false,
         build: || {
-            vec![CellSpec::new("paired ref/fast probe", "fig7-probe", || {
-                throughput_probe()
-            })]
+            THROUGHPUT_PRESETS
+                .iter()
+                .map(|&preset| {
+                    CellSpec::new(preset.name(), "fig7-probe", move || {
+                        throughput_probe(preset)
+                    })
+                })
+                .collect()
         },
         render: |cells| {
-            let c = &cells[0];
-            let mut t = Table::new(vec!["configuration", "sim cycles", "wall ms", "Mcycles/s"]);
-            for (name, wall) in [
-                ("reference (fast_sim off)", c.aux[1]),
-                ("event-driven (default)", c.aux[2]),
-            ] {
-                t.row(vec![
-                    name.to_string(),
-                    c.aux[0].to_string(),
-                    format!("{:.1}", wall as f64 / 1e6),
-                    format!("{:.2}", sim_rate(c, wall) / 1e6),
-                ]);
-            }
             let mut out = String::new();
             let _ = writeln!(
                 out,
-                "Simulator throughput — figure-7 kernels x stride sweep, {THROUGHPUT_REPS} reps per point\n"
+                "Simulator throughput — figure-7 kernels x stride sweep, {THROUGHPUT_REPS} reps \
+                 per point, one paired cell per preset\n"
             );
+            let mut t = Table::new(vec![
+                "preset",
+                "sim cycles",
+                "ref ms",
+                "event ms",
+                "ref Mcyc/s",
+                "event Mcyc/s",
+                "speedup",
+                "executed",
+                "wake/kcyc",
+                "idle ticks",
+            ]);
+            for (p, c) in measured_cells(cells) {
+                let sweep = (c.aux[0] / THROUGHPUT_REPS).max(1) as f64;
+                t.row(vec![
+                    p.to_string(),
+                    c.aux[0].to_string(),
+                    format!("{:.1}", c.aux[1] as f64 / 1e6),
+                    format!("{:.1}", c.aux[2] as f64 / 1e6),
+                    format!("{:.2}", sim_rate(c, c.aux[1]) / 1e6),
+                    format!("{:.2}", sim_rate(c, c.aux[2]) / 1e6),
+                    format!("{:.2}x", throughput_speedup(c)),
+                    format!("{:.1}%", 100.0 * c.aux[3] as f64 / sweep),
+                    format!("{:.0}", c.aux[6] as f64 * 1e3 / sweep),
+                    format!("{:.1}%", 100.0 * idle_tick_fraction(c)),
+                ]);
+            }
             let _ = writeln!(out, "{t}");
             let _ = writeln!(
                 out,
-                "fast-path speedup: {:.2}x (simulated cycles per second, fast vs reference;",
-                throughput_speedup(cells)
+                "speedup: simulated cycles per second, event-driven vs reference stepper (cycle\n\
+                 counts are bit-identical between the two by construction); executed: share of\n\
+                 cycles the event loop ran; idle ticks: share of controller wake-ups whose tick\n\
+                 did no work\n"
             );
-            let _ = writeln!(
-                out,
-                "cycle counts are bit-identical between the two models by construction)\n"
-            );
-            let sweep = (c.aux[0] / THROUGHPUT_REPS).max(1);
-            let _ = writeln!(
-                out,
-                "event loop: {:.1}% of cycles executed, {} wake-ups ({:.0} per kcycle), {} jumps",
-                100.0 * c.aux[3] as f64 / sweep as f64,
-                c.aux[6],
-                c.aux[6] as f64 * 1e3 / sweep as f64,
-                c.aux[5],
-            );
-            let hist: Vec<String> = c.aux[7..7 + JUMP_BUCKETS]
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    if i + 1 == JUMP_BUCKETS {
-                        format!("{}+:{n}", 1u64 << i)
-                    } else {
-                        format!("{}-{}:{n}", 1u64 << i, (1u64 << (i + 1)) - 1)
-                    }
-                })
-                .collect();
-            let _ = writeln!(out, "jump sizes (cycles): {}", hist.join("  "));
+            for (p, c) in measured_cells(cells) {
+                let hist: Vec<String> = c.aux[7..7 + JUMP_BUCKETS]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| match jump_bucket(i) {
+                        (lo, Some(hi)) => format!("{lo}-{hi}:{n}"),
+                        (lo, None) => format!("{lo}+:{n}"),
+                    })
+                    .collect();
+                let _ = writeln!(out, "{p} jump sizes (cycles): {}", hist.join("  "));
+            }
             out
         },
     }

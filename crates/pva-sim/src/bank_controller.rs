@@ -158,7 +158,11 @@ pub struct BcStats {
     pub turnarounds: u64,
     /// Cycles at least one VC was occupied.
     pub busy_cycles: u64,
-    /// Accesses that found their row already open (row-buffer hits).
+    /// CAS commands (single words or coalesced bursts) that left their
+    /// row open for the issuing context's own next element — the
+    /// scheduler's row-buffer hits, counted once per issued CAS. A
+    /// blocked access that observes its open row counts nothing until
+    /// its CAS is accepted.
     pub row_hits: u64,
     /// Activates issued (row opens).
     pub activates: u64,
@@ -249,15 +253,16 @@ pub struct BankController {
     /// Scratch for [`schedule`](BankController::schedule)'s per-VC
     /// target list (reused across cycles when `fast_sim` is on).
     targets_scratch: Vec<(u32, u64, u64)>,
-    /// Scratch for the per-cycle issue-window index list.
-    window_scratch: Vec<usize>,
-    /// Per-cycle `row_hits` increment of the last tick, when that tick
-    /// changed *nothing but* the row-hit counter (a blocked access
-    /// observing its open row). Such a tick replays identically — same
-    /// increment included — every cycle until the wake hint, so the
-    /// fast path applies the increment arithmetically per skipped
-    /// cycle in [`advance`](BankController::advance).
-    replay_row_hits: u64,
+    /// The issue window (VC indices the polarity rule lets read/write,
+    /// oldest first), cached across cycles. Its inputs — the contexts'
+    /// kinds and remaining address ranges, and the bus polarity —
+    /// change only when a context is pushed, advanced or popped, or the
+    /// polarity flips; each of those sites sets `window_stale`. Debug
+    /// builds assert the cache against a fresh
+    /// [`build_issue_window`](BankController::build_issue_window).
+    window: Vec<usize>,
+    /// Whether `window` must be rebuilt before its next use.
+    window_stale: bool,
     /// FIFO entries still waiting on the FHC multiply-add; lets the
     /// fast path skip the per-cycle FIFO scan once all are ready.
     fhc_pending: usize,
@@ -303,8 +308,8 @@ impl BankController {
             vec_meta: FastMap::default(),
             wake_hint: None,
             targets_scratch: Vec::new(),
-            window_scratch: Vec::new(),
-            replay_row_hits: 0,
+            window: Vec::new(),
+            window_stale: true,
             fhc_pending: 0,
             events: Vec::new(),
         }
@@ -463,7 +468,6 @@ impl BankController {
         // at rest the full tick below is provably a no-op, so only the
         // clock and the wake hint need maintaining.
         if self.config.fast_sim && self.quiet() {
-            self.replay_row_hits = 0;
             self.wake_hint = self.compute_wake(now);
             self.device.tick();
             return false;
@@ -526,6 +530,7 @@ impl BankController {
                     stride: 0,
                     target,
                 });
+                self.window_stale = true;
                 did_work = true;
             }
         }
@@ -561,6 +566,7 @@ impl BankController {
                     stride: v.stride(),
                     target,
                 });
+                self.window_stale = true;
                 did_work = true;
             }
         }
@@ -572,7 +578,6 @@ impl BankController {
         // 4. SPU scheduling: pick at most one SDRAM command. A due
         //    periodic refresh preempts normal work (§2.2: the contents
         //    must be refreshed typically every 64 ms).
-        let row_hits_before = self.stats.row_hits;
         if self.turnaround_left > 0 {
             self.turnaround_left -= 1;
             did_work = true;
@@ -583,19 +588,13 @@ impl BankController {
         // work; service_refresh "owning the slot" without issuing is
         // not — that state replays until the blocking timer expires.
         // Scheduling can also mutate state without issuing: starting a
-        // bus turnaround, or observing a row hit on a still-blocked
-        // access — both count as work so the skip logic never elides a
-        // cycle whose replay would not be a pure no-op.
+        // bus turnaround counts as work so the skip logic never elides
+        // a cycle whose replay would not be a pure no-op.
         did_work |= self.device.command_issued_this_cycle() || self.turnaround_left > 0;
-        let row_hit_delta = self.stats.row_hits - row_hits_before;
 
         // The hint must see the device *before* its tick: a restimer at
         // 1 decrements to 0 now, and the next cycle is the first to see
-        // it available. A tick whose only effect was the row-hit
-        // observation still publishes a hint: the observation replays —
-        // counter increment included — every cycle until the hint, and
-        // `advance` applies the skipped increments.
-        self.replay_row_hits = if did_work { 0 } else { row_hit_delta };
+        // it available.
         self.wake_hint = if did_work {
             None
         } else {
@@ -604,7 +603,7 @@ impl BankController {
 
         // 5. Clock the device.
         self.device.tick();
-        did_work || row_hit_delta > 0
+        did_work
     }
 
     /// Routes one returned data word: deposit, or retry if poisoned.
@@ -685,6 +684,14 @@ impl BankController {
         // work tick or by the refresh poll below, so it contributes no
         // candidate. Waking on *any* armed timer would also be correct
         // but triggers a no-op tick per unrelated expiry.
+        //
+        // These arms also cover the generation-aware policy's channel-
+        // global decisions, so no blanket channel-gate arm is needed:
+        // activate_ready_at folds in tRRD/tFAW and access_ready_at the
+        // group's tCCD; `should_defer_activate` only fires in a cycle
+        // where some window CAS is timing-legal, and phase B then
+        // issues (a work tick); `last_cas_group` only orders candidates
+        // that are already legal.
         for vc in &self.vcs {
             let (ib, row, _) = self.target_of(vc);
             let at = match self.device.open_row(ib) {
@@ -692,21 +699,6 @@ impl BankController {
                 Some(open) if open == row => self.device.access_ready_at(ib),
                 Some(_) => self.device.precharge_ready_at(ib),
             };
-            if at > now {
-                consider(at);
-            }
-        }
-        // Channel-gate expiries (tCCD per bank group, tRRD, the tFAW
-        // window slots). The per-context arms above already fold each
-        // context's *own* channel gates into access_ready_at /
-        // activate_ready_at; this arm additionally covers the
-        // generation-aware policy's channel-global decisions — the
-        // tFAW slot count behind `should_defer_activate` and the group
-        // preference around `last_cas_group` — whose inputs change
-        // exactly when a channel gate expires. `None` on SDR-era parts
-        // (the channel timers never arm), so the event schedule there
-        // is untouched.
-        if let Some(at) = self.device.channel_next_expiry() {
             if at > now {
                 consider(at);
             }
@@ -726,9 +718,6 @@ impl BankController {
         if !self.vcs.is_empty() {
             self.stats.busy_cycles += cycles;
         }
-        // Skipped replays of a blocked-access observation each count
-        // their row hit, exactly as the reference's per-cycle ticks do.
-        self.stats.row_hits += self.replay_row_hits * cycles;
         self.device.advance(cycles);
     }
 
@@ -816,13 +805,25 @@ impl BankController {
         // Polarity rule of §5.2.4: a VC may issue a read/write only if no
         // older VC carries the opposite direction (channel-aware parts
         // relax this for provably disjoint contexts — see
-        // `build_issue_window`). Computed up front: phase A must know
+        // `build_issue_window`). Known up front: phase A must know
         // which VCs can actually consume an open row.
-        let mut win = std::mem::take(&mut self.window_scratch);
-        win.clear();
-        self.build_issue_window(&mut win);
+        let mut win = std::mem::take(&mut self.window);
+        if self.window_stale {
+            win.clear();
+            self.build_issue_window(&mut win);
+            self.window_stale = false;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = Vec::new();
+            self.build_issue_window(&mut fresh);
+            assert_eq!(
+                win, fresh,
+                "cached issue window diverged from a fresh build"
+            );
+        }
         self.schedule_in_window(targets, &win, txns);
-        self.window_scratch = win;
+        self.window = win;
     }
 
     /// [`schedule_with`](BankController::schedule_with) continued, with
@@ -1015,8 +1016,11 @@ impl BankController {
     fn window_walk(&self, anchor: OpKind, win: &mut Vec<usize>) {
         // Bounding ranges of the opposite-polarity VCs skipped so far.
         // A later anchor-polarity VC joins the window only if it
-        // overlaps none of them (ranges are inclusive; `skipped` is
-        // bounded by the transaction-id space, so no allocation).
+        // overlaps none of them (ranges are inclusive). A context holds
+        // one of `vector_contexts` slots, so `skipped` needs at most
+        // that many entries; a walk that would skip more than the
+        // array's 16 stops there instead, which only narrows the window
+        // (conservative: the contexts behind simply wait their turn).
         let mut skipped = [(0u64, 0u64); 16];
         let mut n_skipped = 0usize;
         for (i, vc) in self.vcs.iter().enumerate() {
@@ -1143,8 +1147,16 @@ impl BankController {
                 self.turnaround_left = self.config.turnaround_cycles;
                 self.stats.turnarounds += 1;
                 self.data_polarity = Some(kind);
+                self.window_stale = true;
                 return true;
             }
+        }
+        // Decline before assembling the burst when the device would
+        // reject the CAS: tRCD or the group's tCCD still pending. With
+        // the row open (so no refresh is busy) and nothing issued yet
+        // this cycle, `access_ready_at` is the whole legality test.
+        if self.device.access_ready_at(ib) > self.device.now() {
+            return false; // try a younger VC
         }
         // Burst coalescing: adjacent same-row elements whose columns
         // are consecutive ride one CAS on BL4/BL8 parts. `k == 1`
@@ -1216,8 +1228,9 @@ impl BankController {
             };
             self.device.issue(cmd).is_ok()
         };
+        debug_assert!(issued, "a timing-legal CAS on an open row is accepted");
         if !issued {
-            return false; // tRCD/tCCD still pending; try a younger VC.
+            return false;
         }
         let class = match (kind, auto) {
             (OpKind::Read, false) => CmdClass::Read,
@@ -1230,6 +1243,10 @@ impl BankController {
             self.vcs[i].first_op_done = true;
         }
         self.data_polarity = Some(kind);
+        self.window_stale = true;
+        if next_same_row == Some(true) {
+            self.stats.row_hits += 1;
+        }
         // Channel bookkeeping for the group-interleave preference.
         let group = self.config.sdram.bank_group_of(ib);
         if self.last_cas_group.is_some_and(|prev| prev != group) {
@@ -1290,7 +1307,7 @@ impl BankController {
     /// The ManageRow() decision of §5.2.2: should this access close its
     /// row via auto-precharge?
     fn decide_auto_precharge(
-        &mut self,
+        &self,
         vc_idx: usize,
         ib: u32,
         row: u64,
@@ -1308,9 +1325,6 @@ impl BankController {
         if let Some(next_same_row) = next_same_row {
             // Vector request not complete: keep the row if our own next
             // element hits it (or someone else will).
-            if next_same_row {
-                self.stats.row_hits += 1;
-            }
             return !(next_same_row || more_hit);
         }
         // Vector request complete.

@@ -36,6 +36,10 @@ pub struct EventStats {
     pub jumps: u64,
     /// Controller wake-ups popped from the queue.
     pub events_popped: u64,
+    /// Popped wake-ups whose controller tick did no work: a hint that
+    /// woke the controller earlier than its next action, or the
+    /// opening tick of a controller with nothing to do.
+    pub idle_ticks: u64,
     /// Histogram of jump sizes: bucket `i` counts jumps of
     /// `2^i ..= 2^(i+1) - 1` cycles; the last bucket is open-ended
     /// (`128+` with the default [`JUMP_BUCKETS`]).
@@ -58,6 +62,7 @@ impl EventStats {
         self.skipped_cycles += other.skipped_cycles;
         self.jumps += other.jumps;
         self.events_popped += other.events_popped;
+        self.idle_ticks += other.idle_ticks;
         for (acc, v) in self.jump_hist.iter_mut().zip(other.jump_hist) {
             *acc += v;
         }

@@ -647,18 +647,16 @@ impl PvaUnit {
             self.bc_clock[b] = t + 1;
             let worked = self.bcs[b].tick(t, &mut self.txns);
             bc_work |= worked;
-            // A published hint takes priority even over a tick that
-            // "worked": it means the work was a pure per-cycle replay
-            // (a blocked access observing its row hit) that `advance`
-            // reproduces arithmetically across the gap.
+            if !worked {
+                self.event_stats.idle_ticks += 1;
+            }
+            // A tick that did no work publishes its hint; one that did
+            // work (or, at not-quite-rest, a state the hint sources do
+            // not cover) steps again next cycle rather than risk
+            // sleeping through a transition.
             if let Some(w) = self.bcs[b].wake_hint() {
                 self.sched.wake(b, w);
-            } else if worked {
-                self.sched.wake(b, t + 1);
-            } else if !self.bcs[b].quiet() {
-                // No hint but not at rest (a state the hint sources do
-                // not cover): fall back to per-cycle stepping rather
-                // than risk sleeping through a transition.
+            } else if worked || !self.bcs[b].quiet() {
                 self.sched.wake(b, t + 1);
             }
             // Quiet with no hint: parked until a broadcast re-arms it.

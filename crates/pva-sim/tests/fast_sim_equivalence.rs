@@ -288,8 +288,9 @@ fn fig7_kernel_stride_sweep_matches() {
 
 /// A config on the named channel-declaring device preset. These are the
 /// parts where the generation-aware policy actually reorders, defers and
-/// coalesces, so the fast path has new wake sources (the channel-gate
-/// expiry arm) to get wrong.
+/// coalesces, so the fast path's wake hints (the per-context arms that
+/// also cover the channel gates) and the cached issue window have the
+/// most to get wrong.
 fn preset_cfg(preset: DevicePreset) -> PvaConfig {
     PvaConfig {
         sdram: SdramConfig::for_device(preset),
@@ -300,20 +301,25 @@ fn preset_cfg(preset: DevicePreset) -> PvaConfig {
 #[test]
 fn generation_parts_kernel_sweep_matches() {
     // The scheduler's channel-aware decisions (group-interleaved CAS,
-    // tFAW deferral, burst coalescing) must not desynchronize the
-    // next-event fast path from the reference stepper on the parts that
-    // enable them.
+    // tFAW deferral, burst coalescing, the range-disjoint window) must
+    // not desynchronize the next-event fast path from the reference
+    // stepper on the parts that enable them: every kernel at every
+    // stride, with the arrays bank-staggered and row-staggered (row+1
+    // puts every array in another row of the same internal bank — the
+    // row-conflict worst case).
     const ELEMENTS: u64 = 256;
     for preset in [DevicePreset::Ddr3_1600, DevicePreset::Hbm2Like] {
-        for kernel in [Kernel::Copy, Kernel::Saxpy, Kernel::Scale] {
-            for stride in [1u64, 16, 19] {
-                let bases = Alignment::BankStagger.bases(kernel.array_count(), ARRAY_REGION);
-                let trace = kernel.trace(&bases, stride, ELEMENTS, LINE_WORDS);
-                assert_identical(
-                    preset_cfg(preset),
-                    &requests_of(&trace),
-                    &format!("{}/{kernel}/s{stride}", preset.name()),
-                );
+        for alignment in [Alignment::BankStagger, Alignment::RowStagger] {
+            for kernel in Kernel::ALL {
+                for stride in STRIDES {
+                    let bases = alignment.bases(kernel.array_count(), ARRAY_REGION);
+                    let trace = kernel.trace(&bases, stride, ELEMENTS, LINE_WORDS);
+                    assert_identical(
+                        preset_cfg(preset),
+                        &requests_of(&trace),
+                        &format!("{}/{alignment}/{kernel}/s{stride}", preset.name()),
+                    );
+                }
             }
         }
     }
@@ -427,4 +433,8 @@ fn event_accounting_covers_every_cycle() {
     );
     assert!(ev.skipped_cycles > 0, "sparse traffic must skip cycles");
     assert!(ev.events_popped > 0, "wake-ups drive every executed tick");
+    assert!(
+        ev.idle_ticks < ev.events_popped,
+        "idle ticks are a strict subset of the popped wake-ups"
+    );
 }

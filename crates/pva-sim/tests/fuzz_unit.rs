@@ -12,6 +12,10 @@ use sdram::{DevicePreset, SdramConfig};
 
 const CASES: u64 = 48;
 
+/// Cases per (preset, policy) pair of the generation-part fuzzer: its
+/// batches are up to five times larger and run under both loops.
+const GENERATION_CASES: u64 = 12;
+
 /// A request recipe the generator produces.
 #[derive(Debug, Clone)]
 struct Req {
@@ -39,13 +43,14 @@ fn reqs(r: &mut SplitMix64, lo: u64, hi: u64) -> Vec<Req> {
 
 /// Functional oracle: apply the same request sequence to a flat map,
 /// reading PVA background values through `unit.peek` on first touch.
+/// Returns the run's cycle count.
 ///
 /// Per §5.2.4 the hardware permits WAW reordering between two writes to
 /// the same location that are not separated by a read, so addresses
 /// touched by more than one write request are excluded from the checks
 /// (the paper relies on a write-allocate L2 making that case
 /// impossible in practice).
-fn run_both(reqs: &[Req], cfg: PvaConfig) {
+fn run_both(reqs: &[Req], cfg: PvaConfig) -> u64 {
     let mut unit = PvaUnit::new(cfg).expect("valid config");
     let mut oracle: HashMap<u64, u64> = HashMap::new();
     let mut write_count: HashMap<u64, u32> = HashMap::new();
@@ -92,6 +97,7 @@ fn run_both(reqs: &[Req], cfg: PvaConfig) {
         }
         assert_eq!(unit.peek(addr), val, "address {addr:#x}");
     }
+    result.cycles
 }
 
 /// The default prototype configuration serves any mixed batch
@@ -153,6 +159,79 @@ fn refresh_config_is_correct() {
             ..PvaConfig::default()
         };
         run_both(&reqs, cfg);
+    }
+}
+
+/// The generation-aware parts (DDR3, HBM2), policy on and off, with
+/// batches large enough to fill more than 16 vector contexts and
+/// transaction ids — past the window walk's fixed 16-entry `skipped`
+/// array. Half the cases pin every request to one bank and let the
+/// read/write direction run in long stretches, so polarity-anchored
+/// windows skip long opposite-direction runs; a quarter use block
+/// interleave, whose index-list contexts the bypass range check scans.
+/// Each case runs under both simulation loops (the debug build also
+/// replays every event-loop jump through the wake-soundness oracle),
+/// which must agree on the cycle count and both meet the oracle.
+#[test]
+fn generation_parts_are_correct_in_both_loops() {
+    let mut r = SplitMix64::new(0xF20C);
+    for preset in [DevicePreset::Ddr3_1600, DevicePreset::Hbm2Like] {
+        for generation_aware in [true, false] {
+            for case in 0..GENERATION_CASES {
+                let one_bank = r.coin();
+                let mut write = r.coin();
+                let mut run_left = 0;
+                let reqs: Vec<Req> = (0..r.range(8, 41))
+                    .map(|_| {
+                        let mut q = req(&mut r);
+                        if one_bank {
+                            q.base = r.below(512) * 16;
+                            q.stride = r.range(1, 5) * 16;
+                            if run_left == 0 {
+                                write = !write;
+                                run_left = r.range(1, 25);
+                            }
+                            run_left -= 1;
+                            q.write = write;
+                        }
+                        q
+                    })
+                    .collect();
+                let wide = r.coin();
+                let txns = if wide { r.range(17, 41) } else { r.range(1, 9) } as usize;
+                let mut cfg = PvaConfig {
+                    sdram: SdramConfig::for_device(preset),
+                    transaction_ids: txns,
+                    request_fifo_entries: txns,
+                    vector_contexts: if wide { r.range(17, 33) } else { r.range(1, 5) } as usize,
+                    ..PvaConfig::default()
+                };
+                if r.below(4) == 0 {
+                    cfg.geometry = Geometry::cacheline_interleaved(16, 1 << r.range(1, 4)).unwrap();
+                }
+                cfg.options.generation_aware = generation_aware;
+                let fast = run_both(
+                    &reqs,
+                    PvaConfig {
+                        fast_sim: true,
+                        ..cfg
+                    },
+                );
+                let reference = run_both(
+                    &reqs,
+                    PvaConfig {
+                        fast_sim: false,
+                        ..cfg
+                    },
+                );
+                assert_eq!(
+                    fast,
+                    reference,
+                    "{} generation_aware={generation_aware} case {case}: cycles",
+                    preset.name()
+                );
+            }
+        }
     }
 }
 

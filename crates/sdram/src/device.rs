@@ -950,20 +950,6 @@ impl Sdram {
             .saturating_sub(self.now)
     }
 
-    /// The earliest future expiry among the channel gates (tCCD per
-    /// bank group, tRRD, the tFAW window slots), or `None` when every
-    /// gate is already open. Generation-aware schedulers use this as a
-    /// wake source: a command deferred on a channel constraint becomes
-    /// issuable no earlier than this cycle. Permanently `None` on
-    /// generations that leave the channel parameters at 0 (the timers
-    /// never arm).
-    pub fn channel_next_expiry(&self) -> Option<u64> {
-        if self.now >= self.timer_deadline {
-            return None;
-        }
-        self.channel.next_expiry_after(self.now)
-    }
-
     /// Residual cycles of the channel's tRRD gate (0 when expired).
     pub fn channel_rrd_remaining(&self) -> u64 {
         self.channel.rrd_ready_at().saturating_sub(self.now)
