@@ -95,6 +95,23 @@ pub const WAKE_RULES: &[WakeRule] = &[
               legal, and each candidate's legality is its access arm (tRCD plus tCCD)",
     },
     WakeRule {
+        trigger: "turnaround_until",
+        source: "turnaround_until",
+        why: "a bus turnaround holds the scheduler until its deadline, so a context whose \
+              action is already timing-legal must wake at the turnaround's end",
+    },
+    WakeRule {
+        trigger: "fhc_pending",
+        source: "fhc_pending",
+        why: "the FHC multiply-add progresses every cycle while a FIFO entry awaits it",
+    },
+    WakeRule {
+        trigger: "data_polarity",
+        source: "data_polarity",
+        why: "after a work tick, a window context whose row is open but whose direction \
+              opposes the bus starts a turnaround next cycle, whatever its tRCD/tCCD arm says",
+    },
+    WakeRule {
         trigger: "coalesce_run",
         source: "next_data_at",
         why: "a coalesced burst's later beats reach the pins on the data-return schedule",

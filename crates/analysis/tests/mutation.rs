@@ -71,12 +71,9 @@ fn corrupted_timing_deadline_is_caught() {
     );
 }
 
-#[test]
-fn dropped_wake_arm_is_caught() {
-    // Seeded defect: compute_wake forgets the read-return wake source.
-    // Renaming `next_data_at` out of existence models deleting that arm;
-    // the trigger (`pop_ready` in the tick path) survives, so the static
-    // pass must report the uncovered trigger.
+/// The shipped controller source, asserted clean before a test mutates
+/// it.
+fn pristine_controller() -> String {
     let root = pva_analysis::find_workspace_root().expect("workspace root");
     let pristine = std::fs::read_to_string(root.join(wake_check::CONTROLLER_SRC))
         .expect("controller source readable");
@@ -85,6 +82,26 @@ fn dropped_wake_arm_is_caught() {
         Vec::<String>::new(),
         "the pristine controller must pass before mutating it"
     );
+    pristine
+}
+
+/// `pristine` with its single occurrence of `arm` replaced.
+fn delete_arm(pristine: &str, arm: &str, with: &str) -> String {
+    assert_eq!(
+        pristine.matches(arm).count(),
+        1,
+        "the wake arm must exist exactly once to delete"
+    );
+    pristine.replace(arm, with)
+}
+
+#[test]
+fn dropped_wake_arm_is_caught() {
+    // Seeded defect: compute_wake forgets the read-return wake source.
+    // Renaming `next_data_at` out of existence models deleting that arm;
+    // the trigger (`pop_ready` in the tick path) survives, so the static
+    // pass must report the uncovered trigger.
+    let pristine = pristine_controller();
     let mutated = pristine.replace("next_data_at", "next_data_at_gone");
     assert_ne!(mutated, pristine, "the wake source must exist to delete");
     let findings = wake_check::check_source(&mutated);
@@ -104,21 +121,12 @@ fn dropped_access_wake_arm_is_caught() {
     // decisions (activate deferral and the group-interleave
     // preference), so the static pass must report all three triggers
     // that depend on it, not just the row-open one.
-    let root = pva_analysis::find_workspace_root().expect("workspace root");
-    let pristine = std::fs::read_to_string(root.join(wake_check::CONTROLLER_SRC))
-        .expect("controller source readable");
-    assert_eq!(
-        wake_check::check_source(&pristine),
-        Vec::<String>::new(),
-        "the pristine controller must pass before mutating it"
+    let pristine = pristine_controller();
+    let mutated = delete_arm(
+        &pristine,
+        "Some(open) if open == row => self.device.access_ready_at(ib),",
+        "Some(open) if open == row => u64::MAX,",
     );
-    let arm = "Some(open) if open == row => self.device.access_ready_at(ib),";
-    assert_eq!(
-        pristine.matches(arm).count(),
-        1,
-        "the access arm must exist to delete"
-    );
-    let mutated = pristine.replace(arm, "Some(open) if open == row => u64::MAX,");
     let findings = wake_check::check_source(&mutated);
     for trigger in ["open_row", "should_defer_activate", "last_cas_group"] {
         assert!(
@@ -128,6 +136,28 @@ fn dropped_access_wake_arm_is_caught() {
             "a dropped access wake arm must be reported for `{trigger}`, got: {findings:?}"
         );
     }
+}
+
+#[test]
+fn dropped_polarity_wake_arm_is_caught() {
+    // Seeded defect: compute_wake forgets the post-work polarity arm — a
+    // window context whose row is open but whose direction opposes the
+    // bus starts a turnaround next cycle, which no timer arm predicts.
+    // The debug-build replay oracle catches this dynamically on the
+    // fig-7 sweep; the static pass must catch it from source alone.
+    let pristine = pristine_controller();
+    let mutated = delete_arm(
+        &pristine,
+        "if let Some(bus) = self.data_polarity {",
+        "if let Some(bus) = None::<OpKind> {",
+    );
+    let findings = wake_check::check_source(&mutated);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.contains("`data_polarity`") && f.contains("no wake source")),
+        "a dropped polarity wake arm must be reported, got: {findings:?}"
+    );
 }
 
 #[test]

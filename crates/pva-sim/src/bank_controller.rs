@@ -227,8 +227,11 @@ pub struct BankController {
     /// prefers CAS candidates from a *different* group, so the
     /// channel's short tCCD_S gate applies instead of tCCD_L.
     last_cas_group: Option<u32>,
-    /// Turnaround dead cycles remaining.
-    turnaround_left: u32,
+    /// First cycle the scheduler may run again after a bus turnaround
+    /// (a deadline, like the restimers: at or before the current cycle
+    /// when no turnaround is in progress), so the dead cycles between
+    /// need no per-cycle countdown.
+    turnaround_until: u64,
     /// One-bit autoprecharge predictor per internal bank (§5.2.2).
     autoprecharge_predict: Vec<bool>,
     /// Last row that was open in each internal bank (survives closes).
@@ -245,10 +248,10 @@ pub struct BankController {
     /// transaction may still need element addresses recomputed for
     /// retries.
     vec_meta: FastMap<u8, (u64, u64)>,
-    /// When the last [`tick`](BankController::tick) did no work: the
-    /// earliest future cycle at which this controller could act (`None`
-    /// = no pending event, or the tick did work). Consumed by the
-    /// unit's next-event fast path immediately after the tick.
+    /// The earliest future cycle at which this controller could act, as
+    /// of the end of the last [`tick`](BankController::tick) (`None` =
+    /// nothing to do). Consumed by the unit's next-event fast path
+    /// immediately after the tick.
     wake_hint: Option<u64>,
     /// Scratch for [`schedule`](BankController::schedule)'s per-VC
     /// target list (reused across cycles when `fast_sim` is on).
@@ -298,7 +301,7 @@ impl BankController {
             device,
             data_polarity: None,
             last_cas_group: None,
-            turnaround_left: 0,
+            turnaround_until: 0,
             autoprecharge_predict: vec![false; ib],
             last_row: vec![None; ib],
             row_history: vec![0; ib],
@@ -365,13 +368,13 @@ impl BankController {
 
     /// Stronger than [`idle`](BankController::idle): nothing queued AND
     /// the device itself is fully at rest, so a tick can only replay
-    /// the same empty decision. The unit's event loop uses this to park
-    /// a controller with no wake hint until a broadcast re-arms it.
-    pub(crate) fn quiet(&self) -> bool {
+    /// the same empty decision. (A bus turnaround in progress implies
+    /// the context that started it is still waiting, so an empty
+    /// context list covers it.)
+    fn quiet(&self) -> bool {
         self.fifo.is_empty()
             && self.vcs.is_empty()
             && self.retries.is_empty()
-            && self.turnaround_left == 0
             && self.device.quiet()
     }
 
@@ -468,7 +471,7 @@ impl BankController {
         // at rest the full tick below is provably a no-op, so only the
         // clock and the wake hint need maintaining.
         if self.config.fast_sim && self.quiet() {
-            self.wake_hint = self.compute_wake(now);
+            self.wake_hint = self.compute_wake(now, false);
             self.device.tick();
             return false;
         }
@@ -575,31 +578,26 @@ impl BankController {
             self.stats.busy_cycles += 1;
         }
 
-        // 4. SPU scheduling: pick at most one SDRAM command. A due
-        //    periodic refresh preempts normal work (§2.2: the contents
-        //    must be refreshed typically every 64 ms).
-        if self.turnaround_left > 0 {
-            self.turnaround_left -= 1;
-            did_work = true;
-        } else if !self.service_refresh() {
+        // 4. SPU scheduling: pick at most one SDRAM command, unless
+        //    the bus is turning around. A due periodic refresh preempts
+        //    normal work (§2.2: the contents must be refreshed
+        //    typically every 64 ms).
+        let turning = now < self.turnaround_until;
+        if !turning && !self.service_refresh() {
             self.schedule(txns);
         }
         // A command acceptance (from schedule *or* service_refresh) is
         // work; service_refresh "owning the slot" without issuing is
         // not — that state replays until the blocking timer expires.
         // Scheduling can also mutate state without issuing: starting a
-        // bus turnaround counts as work so the skip logic never elides
-        // a cycle whose replay would not be a pure no-op.
-        did_work |= self.device.command_issued_this_cycle() || self.turnaround_left > 0;
+        // bus turnaround is work, the dead cycles after it are not.
+        did_work |=
+            self.device.command_issued_this_cycle() || (!turning && self.turnaround_until > now);
 
         // The hint must see the device *before* its tick: a restimer at
         // 1 decrements to 0 now, and the next cycle is the first to see
         // it available.
-        self.wake_hint = if did_work {
-            None
-        } else {
-            self.compute_wake(now)
-        };
+        self.wake_hint = self.compute_wake(now, did_work);
 
         // 5. Clock the device.
         self.device.tick();
@@ -640,50 +638,65 @@ impl BankController {
         }
     }
 
-    /// The wake hint produced by the last tick: `Some(cycle)` when the
-    /// tick did no work and `cycle` is the earliest tick that could —
-    /// every tick in between is guaranteed to replay the same no-op
-    /// decision. Valid only immediately after the producing tick.
+    /// The wake hint produced by the last tick: `Some(cycle)` with the
+    /// earliest tick that could do work — every tick in between is
+    /// guaranteed to replay the same no-op decision — or `None` when
+    /// the controller has nothing to do until a broadcast hits it.
+    /// Valid only immediately after the producing tick.
     pub const fn wake_hint(&self) -> Option<u64> {
         self.wake_hint
     }
 
+    /// First cycle the request just queued by
+    /// [`observe_command`](BankController::observe_command) at `now`
+    /// can make this controller act: `now` itself when its address
+    /// needs the FHC (the multiply-add starts this tick), else the
+    /// cycle it becomes injectable. Any older FIFO entry is already
+    /// covered by the controller's own wake hint.
+    pub(crate) fn broadcast_wake(&self, now: u64) -> u64 {
+        match self.fifo.back() {
+            Some(e) if e.addr_ready => e.injectable_at,
+            _ => now,
+        }
+    }
+
     /// Earliest future cycle at which this controller could act, given
-    /// that the tick in progress did no work. Must be called *before*
-    /// the device tick (the device clock still reads the current
-    /// cycle). `None` when no event is pending at all.
-    fn compute_wake(&self, now: u64) -> Option<u64> {
-        let mut wake: Option<u64> = None;
-        let mut consider = |at: u64| {
-            wake = Some(match wake {
-                Some(w) if w <= at => w,
-                _ => at,
-            });
-        };
-        // Injection candidates only matter while a context slot is
-        // free; when all slots are busy, the unblocking event is a
-        // device-side one (covered below).
-        if self.vcs.len() < self.config.vector_contexts {
-            if let Some(e) = self.fifo.front() {
-                consider(e.injectable_at);
-            }
-            for r in &self.retries {
-                consider(r.not_before);
-            }
+    /// the state the tick in progress leaves behind; `worked` says
+    /// whether that tick did work. Must be called *before* the device
+    /// tick (the device clock still reads the current cycle). `None`
+    /// only when the controller has nothing to do: no FIFO entries,
+    /// contexts or retries, no read data in flight and no periodic
+    /// refresh configured.
+    fn compute_wake(&mut self, now: u64, worked: bool) -> Option<u64> {
+        let next = now + 1;
+        // The FHC multiply-add progresses every cycle it has an entry.
+        if self.fhc_pending > 0 {
+            return Some(next);
         }
-        if let Some(at) = self.device.next_data_at() {
-            consider(at);
-        }
+        // First cycle the scheduler runs again: the next one, or the
+        // end of a bus turnaround. `held`: a turnaround kept the
+        // scheduler from running this tick, or started in it.
+        let sched_from = self.turnaround_until.max(next);
+        let held = self.turnaround_until > now;
+        let mut wake = u64::MAX;
         // Precise scheduler wakes: for each context, the expiry of
         // exactly the timers gating its next action (activate when its
         // bank is closed, access when its row is open, precharge when
-        // another row occupies the bank). Early wakes are harmless (the
-        // tick replays as a no-op); a wake in the past means the action
-        // is timing-legal already and only a non-timer condition blocks
-        // it — every such condition is resolved by another context's
-        // work tick or by the refresh poll below, so it contributes no
-        // candidate. Waking on *any* armed timer would also be correct
-        // but triggers a no-op tick per unrelated expiry.
+        // another row occupies the bank), no earlier than the scheduler
+        // runs. Early wakes are harmless (the tick replays as a no-op);
+        // waking on *any* armed timer would also be correct but
+        // triggers a no-op tick per unrelated expiry.
+        //
+        // An arm already in the past means the action is timing-legal
+        // and only a non-timer condition (the issue window, a row
+        // another window context still uses, the cycle's single
+        // command slot) holds it back. After a work tick that condition
+        // may just have cleared, so the next cycle must look. After a
+        // no-work tick it did not clear, and clears only in some later
+        // work tick of this controller (which publishes its own hint)
+        // or through the refresh poll below — so it contributes no
+        // candidate. While a turnaround holds the scheduler, a legal
+        // arm resolves to the turnaround's end instead.
         //
         // These arms also cover the generation-aware policy's channel-
         // global decisions, so no blanket channel-gate arm is needed:
@@ -693,22 +706,60 @@ impl BankController {
         // issues (a work tick); `last_cas_group` only orders candidates
         // that are already legal.
         for vc in &self.vcs {
-            let (ib, row, _) = self.target_of(vc);
+            let (ib, row, _) = vc.target;
             let at = match self.device.open_row(ib) {
                 None => self.device.activate_ready_at(ib),
                 Some(open) if open == row => self.device.access_ready_at(ib),
                 Some(_) => self.device.precharge_ready_at(ib),
             };
-            if at > now {
-                consider(at);
+            if at > now || held {
+                wake = wake.min(at.max(sched_from));
+            } else if worked {
+                return Some(next);
             }
         }
-        if let Some(at) = self.device.next_refresh_wake() {
-            consider(at);
+        // A window context whose row is open but whose direction
+        // opposes the bus starts a turnaround the next time phase B
+        // reaches it, whatever its tRCD/tCCD arm says. A no-work tick
+        // never leaves one behind (phase B would have started the
+        // turnaround, or a due refresh holds the slot and its poll
+        // wakes every cycle), and a turnaround has already flipped the
+        // polarity its window is built on.
+        if worked && !held && self.config.turnaround_cycles > 0 {
+            if let Some(bus) = self.data_polarity {
+                let flips = |bc: &Self, i: usize| {
+                    let (ib, row, _) = bc.vcs[i].target;
+                    bc.vcs[i].kind != bus && bc.device.open_row(ib) == Some(row)
+                };
+                if (0..self.vcs.len()).any(|i| flips(self, i)) {
+                    self.refresh_window();
+                    if self.window.iter().any(|&i| flips(self, i)) {
+                        return Some(next);
+                    }
+                }
+            }
         }
-        // Candidates are at or after the next cycle by construction (a
-        // due event would have been work this tick); clamp defensively.
-        wake.map(|w| w.max(now + 1))
+        // Injection candidates only matter while a context slot is
+        // free; when all slots are busy, the unblocking event is a
+        // context's CAS (a work tick).
+        if self.vcs.len() < self.config.vector_contexts {
+            if let Some(e) = self.fifo.front() {
+                wake = wake.min(e.injectable_at);
+            }
+            for r in &self.retries {
+                wake = wake.min(r.not_before);
+            }
+        }
+        if let Some(at) = self.device.next_data_at() {
+            wake = wake.min(at);
+        }
+        // Refresh commands share the scheduler's slot.
+        if let Some(at) = self.device.next_refresh_wake() {
+            wake = wake.min(at.max(sched_from));
+        }
+        // A candidate already due (a FIFO head or retry that the single
+        // injection per cycle left behind) acts next cycle.
+        (wake != u64::MAX).then(|| wake.max(next))
     }
 
     /// Bulk-advances the controller across `cycles` quiescent cycles —
@@ -807,12 +858,8 @@ impl BankController {
         // relax this for provably disjoint contexts — see
         // `build_issue_window`). Known up front: phase A must know
         // which VCs can actually consume an open row.
-        let mut win = std::mem::take(&mut self.window);
-        if self.window_stale {
-            win.clear();
-            self.build_issue_window(&mut win);
-            self.window_stale = false;
-        }
+        self.refresh_window();
+        let win = std::mem::take(&mut self.window);
         #[cfg(debug_assertions)]
         {
             let mut fresh = Vec::new();
@@ -824,6 +871,18 @@ impl BankController {
         }
         self.schedule_in_window(targets, &win, txns);
         self.window = win;
+    }
+
+    /// Rebuilds the cached issue window if an input changed since it
+    /// was last built.
+    fn refresh_window(&mut self) {
+        if self.window_stale {
+            let mut win = std::mem::take(&mut self.window);
+            win.clear();
+            self.build_issue_window(&mut win);
+            self.window = win;
+            self.window_stale = false;
+        }
     }
 
     /// [`schedule_with`](BankController::schedule_with) continued, with
@@ -1144,7 +1203,8 @@ impl BankController {
         // Bus turnaround on polarity reversal (§5.2.5).
         if let Some(p) = self.data_polarity {
             if p != kind && self.config.turnaround_cycles > 0 {
-                self.turnaround_left = self.config.turnaround_cycles;
+                self.turnaround_until =
+                    self.device.now() + 1 + u64::from(self.config.turnaround_cycles);
                 self.stats.turnarounds += 1;
                 self.data_polarity = Some(kind);
                 self.window_stale = true;

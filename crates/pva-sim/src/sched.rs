@@ -1,20 +1,19 @@
 //! Event queue for the next-event fast path.
 //!
 //! The reference model ticks every bank controller every cycle. The
-//! fast path instead keeps one pending wake-up per controller in a
-//! hand-rolled binary min-heap keyed by `(cycle, controller)`, pops the
-//! earliest, and bulk-advances the clock across the gap — cycles where
-//! provably nothing can change are never executed. Controllers that
-//! finish a tick without doing work publish a wake hint (the earliest
-//! cycle their next tick could act); controllers fully at rest park
-//! until a broadcast re-arms them.
+//! fast path instead keeps one next-run cycle per controller, executes
+//! only cycles where some controller (or the front end) is due, and
+//! bulk-advances the clock across the gaps — cycles where provably
+//! nothing can change are never executed. Every controller tick, with
+//! or without work, publishes a wake hint: the earliest cycle its next
+//! tick could act. A controller with nothing to do publishes none and
+//! parks until a broadcast re-arms it.
 //!
-//! The heap uses *lazy invalidation*: [`EventQueue::wake`] never
-//! removes a superseded (later) entry, it just records the new earlier
-//! cycle in the authoritative `next_run` table and pushes a fresh
-//! entry. Stale heap entries — those disagreeing with `next_run` — are
-//! discarded when they surface at the top. This keeps every operation
-//! O(log n) with no sift-to-arbitrary-position machinery.
+//! The queue is a flat table with a cached minimum rather than a heap:
+//! with one entry per controller (16 in the paper's unit), a scan per
+//! executed cycle costs less than heap maintenance, drains the due
+//! controllers already in the reference model's ascending index order,
+//! and needs no invalidation of superseded entries.
 
 /// Number of jump-size histogram buckets in [`EventStats::jump_hist`].
 pub const JUMP_BUCKETS: usize = 8;
@@ -69,41 +68,38 @@ impl EventStats {
     }
 }
 
-/// One pending wake-up per bank controller, ordered by cycle.
+/// One pending wake-up per bank controller: a flat table indexed by
+/// controller plus its cached minimum.
 ///
-/// Ties on the cycle break toward the lower controller index, so due
-/// controllers pop in the same ascending-index order the reference
-/// model ticks them in.
-#[derive(Debug, Default)]
+/// A unit has a few dozen controllers at most, so one linear scan per
+/// executed cycle is cheaper than keeping a heap ordered, and it yields
+/// the due controllers in ascending index order — the order the
+/// reference model ticks them in — without a sort.
+#[derive(Debug)]
 pub(crate) struct EventQueue {
-    /// Min-heap of `(cycle, controller)` wake-ups, including stale
-    /// entries superseded by an earlier `wake`.
-    heap: Vec<(u64, u32)>,
-    /// Authoritative next-run cycle per controller ([`PARKED`] when
-    /// none); a heap entry is live iff it matches this table.
+    /// Next-run cycle per controller ([`PARKED`] when none).
     next_run: Vec<u64>,
-    /// Hot lane for the overwhelmingly common wake target — the cycle
-    /// right after the last drain. During a busy stretch every working
-    /// controller re-wakes at `t + 1`, and routing those through the
-    /// heap costs a sift-up now and a sift-down at the very next
-    /// drain, both for nothing. Entries here are always live: after
-    /// `drain_due(c)` every `wake` carries a cycle `>= c + 1 ==
-    /// soon_cycle`, so nothing can supersede a lane entry.
-    soon: Vec<u32>,
-    /// The cycle `soon` entries are due at (the cycle after the last
-    /// drain; [`PARKED`] before any drain, closing the lane).
-    soon_cycle: u64,
+    /// Minimum of `next_run` ([`PARKED`] when every controller is).
+    min: u64,
+}
+
+impl Default for EventQueue {
+    /// A disarmed queue: no controllers, nothing scheduled.
+    fn default() -> Self {
+        EventQueue {
+            next_run: Vec::new(),
+            min: PARKED,
+        }
+    }
 }
 
 impl EventQueue {
     /// Clears all state and sizes the queue for `n` controllers, all
     /// parked.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
         self.next_run.clear();
         self.next_run.resize(n, PARKED);
-        self.soon.clear();
-        self.soon_cycle = PARKED;
+        self.min = PARKED;
     }
 
     /// Schedules controller `idx` to run at `cycle`. An earlier
@@ -111,13 +107,10 @@ impl EventQueue {
     /// a no-op and republishes its hint), waking late is not.
     pub(crate) fn wake(&mut self, idx: usize, cycle: u64) {
         debug_assert!(cycle < PARKED, "PARKED is reserved");
-        if cycle < self.next_run[idx] {
-            self.next_run[idx] = cycle;
-            if cycle == self.soon_cycle {
-                self.soon.push(idx as u32);
-            } else {
-                self.push(cycle, idx as u32);
-            }
+        let at = &mut self.next_run[idx];
+        if cycle < *at {
+            *at = cycle;
+            self.min = self.min.min(cycle);
         }
     }
 
@@ -130,130 +123,38 @@ impl EventQueue {
         }
     }
 
-    /// Whether controllers are already scheduled for the cycle right
-    /// after the last drain — the busy-stretch signature. The event
-    /// loop uses this to bypass the full next-event/jump computation:
-    /// the earliest event *is* the next cycle, so the only possible
-    /// "jump" is zero-length.
-    pub(crate) fn has_due_next(&self) -> bool {
-        !self.soon.is_empty()
+    /// Whether some controller is due at or before `now` — the
+    /// busy-stretch signature. The event loop uses this to bypass the
+    /// full next-event/jump computation: the earliest event *is* the
+    /// current cycle, so the only possible "jump" is zero-length.
+    pub(crate) fn has_due_next(&self, now: u64) -> bool {
+        self.min <= now
     }
 
     /// Earliest scheduled wake-up cycle across all controllers, or
-    /// `None` when every controller is parked. Discards stale entries
-    /// as they surface.
-    pub(crate) fn next_event(&mut self) -> Option<u64> {
-        let lane = if self.soon.is_empty() {
-            None
-        } else {
-            Some(self.soon_cycle)
-        };
-        while let Some(&(cycle, idx)) = self.heap.first() {
-            if self.next_run[idx as usize] == cycle {
-                return Some(lane.map_or(cycle, |l| l.min(cycle)));
-            }
-            self.pop_top(); // stale: superseded by an earlier wake
-        }
-        lane
+    /// `None` when every controller is parked.
+    pub(crate) fn next_event(&self) -> Option<u64> {
+        (self.min != PARKED).then_some(self.min)
     }
 
-    /// Pops the next controller due at or before `cycle` and parks it
-    /// (its tick will reschedule it). `None` when nothing is due.
-    /// Test-only convenience; the simulator drains whole cycles with
-    /// [`drain_due`](EventQueue::drain_due).
-    #[cfg(test)]
-    pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<usize> {
-        // The one-at-a-time form is off the hot path: fold the lane
-        // back into the heap rather than duplicating the merge logic.
-        while let Some(idx) = self.soon.pop() {
-            self.push(self.soon_cycle, idx);
-        }
-        while let Some(&(at, idx)) = self.heap.first() {
-            if at > cycle {
-                return None;
-            }
-            self.pop_top();
-            if self.next_run[idx as usize] == at {
-                self.next_run[idx as usize] = PARKED;
-                return Some(idx as usize);
-            }
-        }
-        None
-    }
-
-    /// Pops *every* controller due at or before `cycle` into `out` (in
-    /// cycle-then-index order) and parks them — the batched form of
-    /// [`pop_due`](EventQueue::pop_due) for the per-cycle hot loop.
+    /// Moves *every* controller due at or before `cycle` into `out`, in
+    /// ascending index order, and parks them (their ticks reschedule
+    /// them); the minimum is recomputed over the controllers left.
     pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<u32>) {
         out.clear();
-        if self.soon_cycle == cycle {
-            // Lane entries are always live (nothing can supersede
-            // them; see the field docs), so they transfer unchecked.
-            out.append(&mut self.soon);
-            for &idx in out.iter() {
-                debug_assert_eq!(self.next_run[idx as usize], cycle);
-                self.next_run[idx as usize] = PARKED;
-            }
+        if self.min > cycle {
+            return;
         }
-        while let Some(&(at, idx)) = self.heap.first() {
-            if at > cycle {
-                break;
-            }
-            self.pop_top();
-            if self.next_run[idx as usize] == at {
-                self.next_run[idx as usize] = PARKED;
-                out.push(idx);
-            }
-        }
-        // The reference model ticks due controllers in ascending index
-        // order; the heap guarantees that per source, but merging the
-        // lane with same-cycle heap entries (e.g. a broadcast re-arming
-        // a parked controller at this very cycle) can interleave them.
-        if !out.is_sorted() {
-            out.sort_unstable();
-        }
-        // Open the lane for re-wakes targeting the next cycle.
-        self.soon_cycle = cycle + 1;
-    }
-
-    /// Pushes one entry and restores the heap order (sift up).
-    fn push(&mut self, cycle: u64, idx: u32) {
-        self.heap.push((cycle, idx));
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent] <= self.heap[i] {
-                break;
-            }
-            self.heap.swap(parent, i);
-            i = parent;
-        }
-    }
-
-    /// Removes the minimum entry and restores the heap order (sift
-    /// down).
-    fn pop_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        self.heap.truncate(last);
-        let mut i = 0;
-        loop {
-            let left = 2 * i + 1;
-            if left >= self.heap.len() {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < self.heap.len() && self.heap[right] < self.heap[left] {
-                right
+        let mut min = PARKED;
+        for (idx, at) in self.next_run.iter_mut().enumerate() {
+            if *at <= cycle {
+                out.push(idx as u32);
+                *at = PARKED;
             } else {
-                left
-            };
-            if self.heap[i] <= self.heap[child] {
-                break;
+                min = min.min(*at);
             }
-            self.heap.swap(i, child);
-            i = child;
         }
+        self.min = min;
     }
 }
 
@@ -261,48 +162,100 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// Drains everything due at `cycle`.
+    fn drain(q: &mut EventQueue, cycle: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        q.drain_due(cycle, &mut out);
+        out
+    }
+
     #[test]
-    fn pops_in_cycle_then_index_order() {
+    fn due_controllers_drain_in_ascending_index_order() {
         let mut q = EventQueue::default();
-        q.reset(4);
-        q.wake(2, 10);
-        q.wake(0, 5);
-        q.wake(3, 10);
+        q.reset(6);
+        // Woken out of index order, at mixed cycles all due by 10.
+        q.wake(4, 10);
         q.wake(1, 7);
-        assert_eq!(q.next_event(), Some(5));
-        assert_eq!(q.pop_due(10), Some(0));
-        assert_eq!(q.pop_due(10), Some(1));
-        // Same-cycle entries pop in ascending controller order.
-        assert_eq!(q.pop_due(10), Some(2));
-        assert_eq!(q.pop_due(10), Some(3));
-        assert_eq!(q.pop_due(u64::MAX - 1), None);
-        assert_eq!(q.next_event(), None);
+        q.wake(5, 3);
+        q.wake(0, 10);
+        q.wake(2, 11);
+        assert_eq!(q.next_event(), Some(3));
+        assert_eq!(drain(&mut q, 10), vec![0, 1, 4, 5]);
+        // The drained controllers are parked; only controller 2 is left.
+        assert_eq!(drain(&mut q, 10), Vec::<u32>::new());
+        assert_eq!(q.next_event(), Some(11));
     }
 
     #[test]
-    fn pop_due_respects_the_deadline() {
-        let mut q = EventQueue::default();
-        q.reset(2);
-        q.wake(0, 3);
-        q.wake(1, 8);
-        assert_eq!(q.pop_due(2), None);
-        assert_eq!(q.pop_due(3), Some(0));
-        assert_eq!(q.pop_due(3), None);
-        assert_eq!(q.next_event(), Some(8));
-    }
-
-    #[test]
-    fn earlier_wake_supersedes_later_entry() {
+    fn earlier_wake_wins() {
         let mut q = EventQueue::default();
         q.reset(2);
         q.wake(0, 100);
         q.wake(0, 4); // pulls the schedule in
         q.wake(0, 50); // later than the live entry: ignored
         assert_eq!(q.next_event(), Some(4));
-        assert_eq!(q.pop_due(4), Some(0));
-        // The stale cycle-100 entry must not resurface.
-        assert_eq!(q.pop_due(u64::MAX - 1), None);
+        assert!(!q.has_due_next(3));
+        assert!(q.has_due_next(4));
+        assert_eq!(drain(&mut q, 4), vec![0]);
+        // The superseded cycle-100 schedule is gone with it.
+        assert_eq!(drain(&mut q, u64::MAX - 1), Vec::<u32>::new());
         assert_eq!(q.next_event(), None);
+    }
+
+    #[test]
+    fn parked_controllers_never_drain() {
+        let mut q = EventQueue::default();
+        q.reset(4);
+        q.wake(2, 5);
+        assert_eq!(drain(&mut q, u64::MAX - 1), vec![2]);
+        // Everyone is parked now: no cycle, however late, drains one.
+        assert_eq!(q.next_event(), None);
+        assert!(!q.has_due_next(u64::MAX - 1));
+        assert_eq!(drain(&mut q, u64::MAX - 1), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn next_event_after_a_drain_is_the_minimum_left() {
+        let mut q = EventQueue::default();
+        q.reset(8);
+        // Deterministic pseudo-shuffled schedule; later wakes of the
+        // same controller are superseded, earlier ones win.
+        let mut expect = [u64::MAX; 8];
+        for k in 0..64u64 {
+            let idx = ((k * 5) % 8) as usize;
+            let at = (k * 37) % 101 + 1;
+            q.wake(idx, at);
+            expect[idx] = expect[idx].min(at);
+        }
+        let mut drained = 0;
+        while let Some(c) = q.next_event() {
+            let out = drain(&mut q, c);
+            assert!(!out.is_empty(), "the minimum is always due");
+            for &idx in &out {
+                assert_eq!(
+                    expect[idx as usize], c,
+                    "controller {idx} drained off-cycle"
+                );
+                expect[idx as usize] = u64::MAX;
+            }
+            drained += out.len();
+            let left = expect.iter().copied().filter(|&at| at != u64::MAX).min();
+            assert_eq!(q.next_event(), left, "minimum of the controllers left");
+        }
+        assert_eq!(drained, 8, "one live schedule per controller");
+    }
+
+    #[test]
+    fn wake_if_armed_is_a_no_op_on_a_disarmed_queue() {
+        let mut q = EventQueue::default();
+        q.wake_if_armed(3, 7);
+        assert_eq!(q.next_event(), None);
+        q.reset(0);
+        q.wake_if_armed(3, 7);
+        assert_eq!(q.next_event(), None);
+        q.reset(4);
+        q.wake_if_armed(3, 7);
+        assert_eq!(q.next_event(), Some(7));
     }
 
     #[test]
@@ -314,28 +267,7 @@ mod tests {
         q.reset(3);
         assert_eq!(q.next_event(), None);
         q.wake(2, 9);
-        assert_eq!(q.pop_due(9), Some(2));
-    }
-
-    #[test]
-    fn interleaved_wakes_and_pops_stay_ordered() {
-        let mut q = EventQueue::default();
-        q.reset(8);
-        // Deterministic pseudo-shuffled schedule.
-        for k in 0..64u64 {
-            let idx = ((k * 5) % 8) as usize;
-            q.wake(idx, (k * 37) % 101 + 1);
-        }
-        let mut last = 0;
-        let mut popped = 0;
-        while let Some(c) = q.next_event() {
-            assert!(c >= last, "heap order violated: {c} after {last}");
-            last = c;
-            assert!(q.pop_due(c).is_some());
-            popped += 1;
-        }
-        // One live schedule per controller survives the supersessions.
-        assert_eq!(popped, 8);
+        assert_eq!(drain(&mut q, 9), vec![2]);
     }
 
     #[test]

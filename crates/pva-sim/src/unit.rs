@@ -448,12 +448,14 @@ impl PvaUnit {
     /// idle gaps. Cycle-exact with the reference stepper by
     /// construction:
     ///
-    /// * a controller whose tick did no work reports the earliest cycle
-    ///   the decision could change ([`BankController::wake_hint`]);
+    /// * every controller tick reports the earliest cycle the
+    ///   controller could act again ([`BankController::wake_hint`]);
     ///   every cycle before it replays the same no-op;
-    /// * a broadcast re-arms the controllers it hits at the broadcast
-    ///   cycle itself (the reference model runs their first-hit logic
-    ///   that same tick);
+    /// * a broadcast re-arms the controllers it hits at the first cycle
+    ///   the new entry can make them act: the broadcast cycle itself
+    ///   when its address still needs the FHC (the reference model
+    ///   starts the multiply-add that same tick), else the cycle it
+    ///   becomes injectable;
     /// * skipped cycles advance only the pure counters — cycle/idle
     ///   stats here, device clocks and restimers lazily per controller
     ///   on its next wake;
@@ -470,13 +472,13 @@ impl PvaUnit {
             self.sched.wake(b, self.now);
         }
         while !self.idle() && self.now < deadline {
-            // Busy-stretch fast path: controllers re-woken at `t + 1`
-            // during the last executed cycle are due *now*, so the
+            // Busy-stretch fast path: a controller re-woken at `t + 1`
+            // during the last executed cycle is due *now*, so the
             // earliest event is the current cycle and the jump logic
             // below could only ever produce a zero-length skip. The
             // watchdog needs no clamp either — it only bounds jumps,
             // and `exec_cycle` runs its per-cycle check regardless.
-            if self.sched.has_due_next() {
+            if self.sched.has_due_next(self.now) {
                 self.exec_cycle()?;
                 continue;
             }
@@ -627,8 +629,8 @@ impl PvaUnit {
     /// from its outcome.
     fn exec_cycle(&mut self) -> Result<(), PvaError> {
         let t = self.now;
-        // A broadcast inside bus_step wakes the hit controllers at `t`,
-        // so they are popped below within this same cycle.
+        // A broadcast inside bus_step may wake a hit controller at `t`,
+        // so it is drained below within this same cycle.
         self.bus_step();
         let mut bc_work = false;
         // One batched drain: controller ticks never wake another
@@ -650,16 +652,11 @@ impl PvaUnit {
             if !worked {
                 self.event_stats.idle_ticks += 1;
             }
-            // A tick that did no work publishes its hint; one that did
-            // work (or, at not-quite-rest, a state the hint sources do
-            // not cover) steps again next cycle rather than risk
-            // sleeping through a transition.
+            // Every tick publishes its hint; no hint means nothing to
+            // do, parked until a broadcast re-arms it.
             if let Some(w) = self.bcs[b].wake_hint() {
                 self.sched.wake(b, w);
-            } else if worked || !self.bcs[b].quiet() {
-                self.sched.wake(b, t + 1);
             }
-            // Quiet with no hint: parked until a broadcast re-arms it.
         }
         self.due_scratch = due;
         // Phase transitions require a deposit or commit this very cycle
@@ -938,11 +935,10 @@ impl PvaUnit {
             let served = bc.observe_command(&cmd, line.clone(), self.now);
             covered += served;
             if served > 0 {
-                // The reference model runs the hit controllers'
-                // first-hit logic this very tick; the event loop must
-                // pop them at the broadcast cycle too (no-op when the
-                // loop is not running — the queue is disarmed).
-                self.sched.wake_if_armed(b, self.now);
+                // Re-arm the hit controller at the first cycle the new
+                // entry can make it act (no-op when the loop is not
+                // running — the queue is disarmed).
+                self.sched.wake_if_armed(b, bc.broadcast_wake(self.now));
             }
         }
         debug_assert_eq!(covered, vector.length(), "banks must cover the vector");

@@ -350,6 +350,86 @@ fn generation_parts_fault_campaign_matches() {
     }
 }
 
+#[test]
+fn wake_path_configs_match() {
+    // The sweeps above run every wake source at its default setting;
+    // these configurations move the ones the default hides:
+    // - turnaround 0 (no turnaround deadline, a polarity flip is just a
+    //   CAS) and 3 (several dead cycles the deadline skips, and the
+    //   post-work polarity arm);
+    // - bypass paths off (the broadcast re-arm lands at `injectable_at`
+    //   two cycles out instead of one);
+    // - the CVMS-like 13-cycle FHC (the broadcast-cycle re-arm and the
+    //   per-cycle FHC hint, long enough to overlap other work).
+    let mut configs: Vec<(PvaConfig, String)> = Vec::new();
+    for preset in [DevicePreset::Sdr100, DevicePreset::Ddr3_1600] {
+        let name = preset.name();
+        for turnaround in [0, 3] {
+            let mut cfg = preset_cfg(preset);
+            cfg.turnaround_cycles = turnaround;
+            configs.push((cfg, format!("{name} turnaround {turnaround}")));
+        }
+        let mut cfg = preset_cfg(preset);
+        cfg.options.bypass_paths = false;
+        configs.push((cfg, format!("{name} bypass off")));
+        let cfg = PvaConfig {
+            sdram: SdramConfig::for_device(preset),
+            ..PvaConfig::cvms_like()
+        };
+        configs.push((cfg, format!("{name} cvms-like")));
+    }
+    const ELEMENTS: u64 = 128;
+    for (cfg, label) in &configs {
+        for kernel in [Kernel::Copy, Kernel::Saxpy] {
+            for stride in STRIDES {
+                let bases = Alignment::BankStagger.bases(kernel.array_count(), ARRAY_REGION);
+                let trace = kernel.trace(&bases, stride, ELEMENTS, LINE_WORDS);
+                assert_identical(
+                    *cfg,
+                    &requests_of(&trace),
+                    &format!("{label}/{kernel}/s{stride}"),
+                );
+            }
+        }
+        let mixed: Vec<HostRequest> = (0..8u64)
+            .map(|i| {
+                let base = i * 512 * 16 + i;
+                if i % 2 == 0 {
+                    read(base, 3, 32)
+                } else {
+                    write(base, 3, 32)
+                }
+            })
+            .collect();
+        assert_identical(*cfg, &mixed, &format!("{label}/rw mix stride 3"));
+    }
+}
+
+#[test]
+fn ddr3_fig7_sweep_rarely_wakes_idle() {
+    // Controllers wake only where they can act: on the fig-7 sweep the
+    // throughput probe times, at most 15% of the wake-ups may tick
+    // without doing work. (A forced re-tick after every work tick
+    // measured 36% here.)
+    let mut events = pva_sim::EventStats::default();
+    for kernel in [Kernel::Copy, Kernel::Saxpy, Kernel::Scale] {
+        for stride in STRIDES {
+            let bases = Alignment::BankStagger.bases(kernel.array_count(), ARRAY_REGION);
+            let trace = kernel.trace(&bases, stride, kernels::ELEMENTS, LINE_WORDS);
+            let mut unit = PvaUnit::new(preset_cfg(DevicePreset::Ddr3_1600)).expect("valid config");
+            unit.run(requests_of(&trace)).expect("run succeeds");
+            events.absorb(unit.event_stats());
+        }
+    }
+    let idle = events.idle_ticks as f64 / events.events_popped as f64;
+    assert!(
+        idle <= 0.15,
+        "idle ticks are {:.1}% of {} wake-ups",
+        idle * 100.0,
+        events.events_popped
+    );
+}
+
 /// Runs `requests` with the generation-aware policy toggled and returns
 /// both results for identity comparison.
 fn run_policy_pair(cfg: PvaConfig, requests: &[HostRequest]) -> (RunResult, RunResult) {

@@ -273,25 +273,6 @@ impl ChannelTimers {
         self.faw
     }
 
-    /// The earliest channel-timer expiry strictly after `now`, if any —
-    /// the channel's contribution to the device's resource wake hint.
-    pub fn next_expiry_after(&self, now: u64) -> Option<u64> {
-        let mut wake: Option<u64> = None;
-        let mut consider = |at: u64| {
-            if at > now {
-                wake = Some(wake.map_or(at, |w: u64| w.min(at)));
-            }
-        };
-        consider(self.rrd.expires_at());
-        for timer in &self.cas_group {
-            consider(timer.expires_at());
-        }
-        for &slot in &self.faw {
-            consider(slot);
-        }
-        wake
-    }
-
     /// The latest expiry across every channel timer — the first cycle
     /// at which the whole channel is guaranteed unconstrained.
     pub fn all_expired_at(&self) -> u64 {

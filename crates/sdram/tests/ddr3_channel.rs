@@ -136,23 +136,25 @@ fn tfaw_throttles_the_fifth_activate() {
 }
 
 #[test]
-fn next_resource_wake_includes_channel_expiries() {
+fn ready_at_includes_channel_expiries() {
     let mut d = ddr3();
     open_rows(&mut d, &[0, 1]);
-    let quiet_from = d.now();
     // Wait until every bank timer from the opens has expired so the
-    // only pending expiries left are channel-armed ones (plus the
-    // periodic refresh deadline, thousands of cycles out).
-    tick_to(&mut d, quiet_from + 64);
-    let refresh_wake = d.next_resource_wake().expect("periodic refresh pending");
-    assert!(
-        refresh_wake > d.now() + 1000,
-        "only the far refresh is left"
-    );
+    // only gates left to arm are channel ones.
+    let settled = d.now() + 64;
+    tick_to(&mut d, settled);
+    assert!(d.access_ready_at(0) <= d.now() && d.access_ready_at(1) <= d.now());
     d.issue(read(0)).unwrap();
     let at = d.now();
-    // tCCD_S = 4 is the earliest channel expiry (tCCD_L = 5 later).
-    assert_eq!(d.next_resource_wake(), Some(at + 4));
+    // Bank 0 shares the CAS's group (tCCD_L = 5); bank 1 is in the
+    // other group (tCCD_S = 4).
+    assert_eq!(d.access_ready_at(0), at + 5);
+    assert_eq!(d.access_ready_at(1), at + 4);
+    d.tick();
+    d.issue(SdramCmd::Activate { bank: 2, row: 1 }).unwrap();
+    let act = d.now();
+    // Bank 3 has no timer of its own armed: tRRD = 6 is its whole gate.
+    assert_eq!(d.activate_ready_at(3), act + 6);
 }
 
 #[test]
