@@ -62,21 +62,6 @@ impl SystemKind {
     }
 }
 
-/// One measured point of the design space.
-#[derive(Debug, Clone)]
-pub struct DataPoint {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Element stride.
-    pub stride: u64,
-    /// Alignment preset name.
-    pub alignment: &'static str,
-    /// Memory system name.
-    pub system: &'static str,
-    /// Total cycles for the whole kernel (1024 elements per array).
-    pub cycles: u64,
-}
-
 /// Min/max cycles of a (kernel, stride, system) cell over the five
 /// alignments — the paired bars of figures 7–10.
 #[derive(Debug, Clone, Copy)]
@@ -123,27 +108,6 @@ pub fn run_cell(kernel: Kernel, stride: u64, system: SystemKind) -> CellResult {
     CellResult { min, max, bytes }
 }
 
-/// The full 240-points-per-system sweep of §6.2.
-pub fn full_sweep(systems: &[SystemKind]) -> Vec<DataPoint> {
-    let mut out = Vec::new();
-    for kernel in Kernel::ALL {
-        for &stride in &STRIDES {
-            for alignment in Alignment::ALL {
-                for &system in systems {
-                    out.push(DataPoint {
-                        kernel: kernel.name(),
-                        stride,
-                        alignment: alignment.name(),
-                        system: system.name(),
-                        cycles: run_point(kernel, stride, alignment, system),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +119,14 @@ mod tests {
             Kernel::ALL.len() * STRIDES.len() * Alignment::ALL.len(),
             240
         );
+    }
+
+    #[test]
+    fn system_names_are_distinct() {
+        let mut names: Vec<&str> = SystemKind::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SystemKind::ALL.len());
     }
 
     #[test]

@@ -24,8 +24,8 @@ mod stream;
 
 pub use alignment::Alignment;
 pub use experiment::{
-    full_sweep, run_cell, run_point, run_point_outcome, CellResult, DataPoint, SystemKind,
-    ARRAY_REGION, ELEMENTS, LINE_WORDS, STRIDES,
+    run_cell, run_point, run_point_outcome, CellResult, SystemKind, ARRAY_REGION, ELEMENTS,
+    LINE_WORDS, STRIDES,
 };
 pub use kernel::{Access, ArrayIndex, Kernel};
 pub use stream::StreamKernel;

@@ -156,6 +156,16 @@ mod tests {
     }
 
     #[test]
+    fn configured_burst_sets_the_fill_cost() {
+        let mut sys = CachelineSerial::new(CachelineConfig {
+            burst: 32,
+            ..CachelineConfig::default()
+        });
+        // 2 + 2 + 32 = 36 cycles per fill instead of the default 20.
+        assert_eq!(sys.run_trace(&[read(0, 1, 32)]).cycles, 36);
+    }
+
+    #[test]
     fn writes_cost_like_reads() {
         let mut sys = CachelineSerial::default();
         let r = [read(0, 4, 32)];

@@ -19,15 +19,22 @@
 //! for them (they are *idealized* comparators in the paper too — the
 //! gate-level simulation was only of the PVA).
 //!
-//! Systems are assembled through the [`SystemRegistry`] builder and
-//! each trace run reports a structured [`RunOutcome`]:
+//! Every system runs a trace of vector commands and reports a
+//! structured [`RunOutcome`]:
 //!
 //! ```
-//! use memsys::{MemorySystem, SystemRegistry, TraceOp};
+//! use memsys::{CachelineSerial, MemorySystem, PvaSystem, SerialGather, SmcLike, TraceOp};
 //! use pva_core::Vector;
 //!
 //! let trace = [TraceOp::read(Vector::new(0, 16, 32)?)];
-//! for mut sys in SystemRegistry::with_defaults().build() {
+//! let systems: [Box<dyn MemorySystem>; 5] = [
+//!     Box::new(PvaSystem::sdram()),
+//!     Box::new(PvaSystem::sram()),
+//!     Box::new(CachelineSerial::default()),
+//!     Box::new(SerialGather::default()),
+//!     Box::new(SmcLike::default()),
+//! ];
+//! for mut sys in systems {
 //!     let out = sys.run_trace(&trace);
 //!     assert!(out.cycles > 0, "{} must take time", sys.name());
 //!     assert!(out.bytes_transferred >= 32 * 4, "words must move");
@@ -41,7 +48,6 @@
 mod cacheline;
 pub mod deadline;
 mod pva_systems;
-mod registry;
 mod serial_gather;
 mod smc;
 mod trace;
@@ -49,7 +55,6 @@ mod trace;
 pub use cacheline::{CachelineConfig, CachelineSerial};
 pub use deadline::DeadlineExceeded;
 pub use pva_systems::PvaSystem;
-pub use registry::SystemRegistry;
 pub use serial_gather::{SerialGather, SerialGatherConfig};
 pub use smc::SmcLike;
 pub use trace::{MemorySystem, RunOutcome, RunStats, TraceOp, WORD_BYTES};
@@ -64,24 +69,18 @@ mod tests {
     use pva_core::Vector;
 
     #[test]
-    fn default_registry_has_distinct_names() {
-        let systems = SystemRegistry::with_defaults().build();
-        let names: Vec<&str> = systems.iter().map(|s| s.name()).collect();
-        let mut unique = names.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len());
-    }
-
-    #[test]
     fn reset_then_rerun_is_identical() {
         let trace: Vec<TraceOp> = (0..4)
             .map(|i| TraceOp::read(Vector::new(i * 512, 16, 32).unwrap()))
             .collect();
-        for mut sys in SystemRegistry::with_defaults()
-            .smc(SmcLike::default())
-            .build()
-        {
+        let systems: [Box<dyn MemorySystem>; 5] = [
+            Box::new(PvaSystem::sdram()),
+            Box::new(PvaSystem::sram()),
+            Box::new(CachelineSerial::default()),
+            Box::new(SerialGather::default()),
+            Box::new(SmcLike::default()),
+        ];
+        for mut sys in systems {
             let first = sys.run_trace(&trace);
             sys.reset();
             let second = sys.run_trace(&trace);

@@ -6,8 +6,9 @@ use crate::geometry::WordAddr;
 /// A base-stride application vector `V = <B, S, L>`.
 ///
 /// `V[i]` is the word at address `B + i * S` for `i` in `0..L`. This is
-/// the request unit the processor (or the Impulse front end) hands to the
-/// PVA unit; a conventional cache-line fill is the special case `S = 1`.
+/// the request unit the processor (or the memory controller's front
+/// end) hands to the PVA unit; a conventional cache-line fill is the
+/// special case `S = 1`.
 ///
 /// # Examples
 ///

@@ -343,9 +343,9 @@ impl PvaUnit {
     }
 
     /// Enqueues one host request without advancing time — the
-    /// incremental half of the API, for callers (CPU models, Impulse
-    /// front ends) that interleave their own work with the memory
-    /// system. Returns the request's submission index.
+    /// incremental half of the API, for callers (CPU models,
+    /// memory-controller front ends) that interleave their own work with
+    /// the memory system. Returns the request's submission index.
     ///
     /// # Errors
     ///

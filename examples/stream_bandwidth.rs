@@ -24,7 +24,8 @@ fn main() {
         println!();
     }
     println!(
-        "\nunit-stride STREAM is the PVA's parity case: it matches the cache-line\n\
-         system here and the bus (800 MB/s peak at 64 bits x 100 MHz) is the limit"
+        "\nunit-stride STREAM: the PVA runs near the bus limit (800 MB/s peak at\n\
+         64 bits x 100 MHz); the cache-line system is held to 640 MB/s by its\n\
+         20-cycle fill per 128-byte line"
     );
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure of the paper plus the extension studies
 # into results/ (text goldens + BENCH_*.json run records), runs the full
-# test suite, and dumps the 960-point sweep.
+# test suite and the fault-campaign smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,8 +28,5 @@ cargo run -p pva-bench --release -- validate results/BENCH_*.json
 
 echo "== fault campaign (smoke) =="
 cargo run -p pva-bench --release --bin fault_campaign -- --smoke
-
-echo "== sweep csv =="
-cargo run --release --bin pva-explore -- sweep-csv results/sweep.csv
 
 echo "done: see results/ and EXPERIMENTS.md"

@@ -31,8 +31,8 @@
 //! # Ok::<(), pva::core::PvaError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/`
-//! for the per-figure reproduction binaries.
+//! See `examples/` for runnable scenarios and the `pva-bench` CLI
+//! (`crates/bench`) for the per-figure reproduction scenarios.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +51,6 @@ pub use memsys;
 
 /// Table-2 kernels and experiment sweeps.
 pub use kernels;
-
-/// Impulse-style shadow address spaces (§3.2).
-pub use impulse;
 
 /// L2 cache model for whole-loop studies.
 pub use cache;

@@ -3,7 +3,7 @@
 
 use pva::core::{split_vector, MmcTlb, Superpage, Vector};
 use pva::kernels::{run_cell, run_point, Alignment, Kernel, SystemKind, STRIDES};
-use pva::memsys::{SystemRegistry, TraceOp};
+use pva::memsys::TraceOp;
 use pva::sim::{HostRequest, PvaConfig, PvaUnit};
 
 #[test]
@@ -110,7 +110,7 @@ fn split_vector_feeds_the_unit_correctly() {
 
 #[test]
 fn trace_cycle_counts_are_positive_and_scale_with_work() {
-    for mut sys in SystemRegistry::with_defaults().build() {
+    for mut sys in SystemKind::ALL.iter().map(|k| k.build()) {
         let small: Vec<TraceOp> = (0..2)
             .map(|i| TraceOp::read(Vector::new(i * 4096, 4, 32).unwrap()))
             .collect();
